@@ -27,6 +27,8 @@ class Bundle:
             raise ShapeMismatch(f"intensity grid {i.shape} != feature grid {f.shape[:3]}")
         if self.labels is not None and np.asarray(self.labels).shape != f.shape[:3]:
             raise ShapeMismatch("label grid differs from feature grid")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(i))):
+            raise ShapeMismatch("non-finite features or intensity")
         self.features = f
         self.intensity = i
 

@@ -14,15 +14,14 @@ import numpy as np
 
 from .affine import AffineTransform, fit_affine
 from .bundle import Bundle
-from .coarse import CoarseField, OptimizerConfig, optimize_coarse, upsample_coarse
+from .coarse import CoarseField, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import read_vol1, write_vol1
 from .errors import NumericalDivergence, RegistrationError, ShapeMismatch
-from .grid import warp_labels, warp_scalar
-from .instance import InstanceConfig, optimize_instance
-from .matching import filter_matches, load_matches, save_matches, sscc
+from .grid import warp_labels
+from .matching import load_matches, save_matches
 from .metrics import RegistrationReport, dice, landmark_error
-from .pipeline import run_pipeline
+from .pipeline import coarse_stage, instance_stage, match_stage, run_pipeline
 from .synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
@@ -102,8 +101,7 @@ def cmd_match(args) -> int:
     config = _config_from_args(args)
     feats_m = read_vol1(args.moving_features).values
     feats_f = read_vol1(args.fixed_features).values
-    matches = sscc(feats_m, feats_f, step=config.match_step, iterations=config.sscc_iterations)
-    matches = filter_matches(matches, config.epsilon)
+    matches = match_stage(config, feats_m, feats_f)
     save_matches(matches, args.out)
     print(f"{len(matches)} matches -> {args.out}")
     return 0
@@ -123,13 +121,7 @@ def cmd_coarse(args) -> int:
     matches = load_matches(args.matches)
     affine = AffineTransform.from_json(Path(args.affine).read_text())
     dims = read_vol1(args.fixed_features).values.shape[:3]
-    opt = OptimizerConfig(
-        step_size=config.coarse_step_size,
-        iterations=config.coarse_iterations,
-        reg_weight=config.coarse_reg_weight,
-        convergence_tol=config.coarse_tol,
-    )
-    field = optimize_coarse(matches, affine, config.coarse_stride, dims, opt)
+    field = coarse_stage(config, matches, affine, dims)
     write_vol1(args.out, field.lattice, attrs={"stride": str(field.stride)})
     print(f"coarse lattice {field.lattice.shape[:3]} -> {args.out}")
     return 0
@@ -149,28 +141,7 @@ def cmd_instance(args) -> int:
         vol = read_vol1(args.coarse)
         field = CoarseField(stride=int(vol.attrs["stride"]), lattice=vol.values)
         coarse_dense = upsample_coarse(field, fixed.dims)
-    pre_map = compose(CompositeTransform(affine=affine, coarse=coarse_dense), fixed.dims)
-    from .grid import warp_features
-
-    icfg = InstanceConfig(
-        lambda_sim=config.lambda_sim,
-        lambda_reg=config.lambda_reg,
-        intensity_term=config.intensity_term,
-        lncc_window=config.lncc_window,
-        parameterization=config.parameterization,
-        svf_steps=config.svf_steps,
-        step_size=config.instance_step_size,
-        iterations=config.instance_iterations,
-        convergence_tol=config.instance_tol,
-    )
-    dense = optimize_instance(
-        warp_features(moving.features, pre_map),
-        fixed.features,
-        warp_scalar(moving.intensity, pre_map),
-        fixed.intensity,
-        np.zeros(fixed.dims + (3,)),
-        icfg,
-    )
+    dense, _ = instance_stage(config, moving, fixed, affine, coarse_dense)
     write_vol1(args.out, dense)
     print(f"instance field -> {args.out}")
     return 0
@@ -209,7 +180,8 @@ def _load_transform(directory: Path) -> CompositeTransform:
 def cmd_eval(args) -> int:
     transform = _load_transform(Path(args.transform))
     moving_labels = read_vol1(args.moving_labels).values[..., 0]
-    fixed_labels = read_vol1(args.fixed_labels).values[..., 0]
+    fixed_vol = read_vol1(args.fixed_labels)
+    fixed_labels = fixed_vol.values[..., 0]
     final_map = compose(transform, fixed_labels.shape)
     report = RegistrationReport()
     report.per_label_dice, report.mean_dice = dice(
@@ -224,7 +196,7 @@ def cmd_eval(args) -> int:
         pts_f = select_points(fixed_labels.shape, 4).astype(np.float64)
         pts_m = gt[pts_f[:, 0].astype(int), pts_f[:, 1].astype(int), pts_f[:, 2].astype(int)]
         report.mean_landmark_error = landmark_error(
-            pts_m, pts_f, lambda pts: trilinear_sample(final_map, pts)
+            pts_m, pts_f, lambda pts: trilinear_sample(final_map, pts), spacing=fixed_vol.spacing
         )
     if args.out:
         Path(args.out).write_text(report.to_json())
@@ -243,7 +215,6 @@ def cmd_jacobian(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="embreg", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (1 = deterministic reference mode)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic registration pair")

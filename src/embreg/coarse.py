@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineTransform, apply_affine, invert_affine
-from .errors import EmptyMatchSet, NumericalDivergence, ShapeMismatch
-from .grid import trilinear_corners, trilinear_sample
+from .descent import descend, smoothness
+from .errors import EmptyMatchSet, ShapeMismatch
+from .grid import identity_grid, trilinear_corners, trilinear_sample
 from .matching import MatchSet
 
 
@@ -68,9 +69,24 @@ def _match_targets(matches: MatchSet, affine: AffineTransform):
     return y, matches.moving.astype(np.float64)
 
 
-def _reg_terms(lattice: np.ndarray):
-    """Forward differences along each axis (zero rows at the far boundary)."""
-    return [np.diff(lattice, axis=a) for a in range(3)]
+def _coarse_loss(lattice, stride: int, y, xm, reg_weight: float):
+    """Coarse objective at ``lattice`` and a closure for its gradient."""
+    pts = y / stride
+    uy = trilinear_sample(lattice, pts)
+    resid = xm - (y + uy)
+    data = float(np.mean(np.sum(resid * resid, axis=1)))
+    reg, reg_gradient = smoothness(lattice)
+    value = data + float(reg_weight) * reg
+
+    def gradient() -> np.ndarray:
+        grad = np.zeros_like(lattice)
+        corners, weights = trilinear_corners(pts, lattice.shape[:3])
+        contrib = (-2.0 / len(y)) * weights[:, :, None] * resid[:, None, :]  # (n, 8, 3)
+        flat = corners.reshape(-1, 3)
+        np.add.at(grad, (flat[:, 0], flat[:, 1], flat[:, 2]), contrib.reshape(-1, 3))
+        return grad + float(reg_weight) * reg_gradient()
+
+    return value, gradient
 
 
 def coarse_objective(
@@ -78,12 +94,7 @@ def coarse_objective(
 ) -> float:
     """Mean squared residual of matched points plus the smoothness penalty."""
     y, xm = _match_targets(matches, affine)
-    uy = trilinear_sample(field.lattice, y / field.stride)
-    resid = xm - (y + uy)
-    data = float(np.mean(np.sum(resid * resid, axis=1)))
-    n_nodes = int(np.prod(field.lattice.shape[:3]))
-    reg = sum(float(np.sum(d * d)) for d in _reg_terms(field.lattice)) / n_nodes
-    return data + float(reg_weight) * reg
+    return _coarse_loss(field.lattice, field.stride, y, xm, reg_weight)[0]
 
 
 def coarse_gradient(
@@ -91,27 +102,7 @@ def coarse_gradient(
 ) -> np.ndarray:
     """Exact gradient of :func:`coarse_objective` w.r.t. every lattice component."""
     y, xm = _match_targets(matches, affine)
-    lat = field.lattice
-    n = y.shape[0]
-    uy = trilinear_sample(lat, y / field.stride)
-    resid = xm - (y + uy)
-
-    grad = np.zeros_like(lat)
-    corners, weights = trilinear_corners(y / field.stride, lat.shape[:3])
-    contrib = (-2.0 / n) * weights[:, :, None] * resid[:, None, :]  # (n, 8, 3)
-    flat = corners.reshape(-1, 3)
-    np.add.at(grad, (flat[:, 0], flat[:, 1], flat[:, 2]), contrib.reshape(-1, 3))
-
-    n_nodes = int(np.prod(lat.shape[:3]))
-    coef = 2.0 * float(reg_weight) / n_nodes
-    for a, d in enumerate(_reg_terms(lat)):
-        front = [slice(None)] * 4
-        back = [slice(None)] * 4
-        front[a] = slice(0, -1)
-        back[a] = slice(1, None)
-        grad[tuple(back)] += coef * d
-        grad[tuple(front)] -= coef * d
-    return grad
+    return _coarse_loss(field.lattice, field.stride, y, xm, reg_weight)[1]()
 
 
 def optimize_coarse(
@@ -123,36 +114,19 @@ def optimize_coarse(
 ) -> CoarseField:
     """Gradient descent from the zero lattice with step halving on increase."""
     config = config or OptimizerConfig()
-    dims = lattice_dims(grid_dims, stride)
-    field = CoarseField(stride=stride, lattice=np.zeros(dims + (3,)))
-    value = coarse_objective(field, matches, affine, config.reg_weight)
-    if not np.isfinite(value):
-        raise NumericalDivergence("initial coarse objective not finite")
-
-    for _ in range(config.iterations):
-        grad = coarse_gradient(field, matches, affine, config.reg_weight)
-        if np.max(np.abs(grad)) < config.convergence_tol:
-            break
-        step = config.step_size
-        accepted = False
-        for _ in range(31):
-            trial = CoarseField(stride=stride, lattice=field.lattice - step * grad)
-            trial_value = coarse_objective(trial, matches, affine, config.reg_weight)
-            if not np.isfinite(trial_value):
-                raise NumericalDivergence("coarse objective diverged")
-            if trial_value <= value:
-                field, value = trial, trial_value
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return field
+    start = CoarseField(stride=stride, lattice=np.zeros(lattice_dims(grid_dims, stride) + (3,)))
+    y, xm = _match_targets(matches, affine)
+    lattice = descend(
+        lambda lat: _coarse_loss(lat, start.stride, y, xm, config.reg_weight),
+        start.lattice,
+        config.step_size,
+        config.iterations,
+        config.convergence_tol,
+    )
+    return CoarseField(stride=start.stride, lattice=lattice)
 
 
 def upsample_coarse(field: CoarseField, target_dims) -> np.ndarray:
     """Dense displacement on the target grid via trilinear lattice interpolation."""
-    from .grid import identity_grid
-
     pts = identity_grid(target_dims) / field.stride
     return trilinear_sample(field.lattice, pts)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 from dataclasses import dataclass
 
 from .errors import ShapeMismatch
@@ -31,11 +31,10 @@ class PipelineConfig:
     instance_step_size: float = 1.0
     instance_iterations: int = 100
     instance_tol: float = 1e-6
-    # stage gating / execution
+    # stage gating
     enable_affine: bool = True
     enable_coarse: bool = True
     enable_instance: bool = True
-    threads: int = 1
 
 
 def _parse_value(text: str, target_type):
@@ -47,25 +46,17 @@ def _parse_value(text: str, target_type):
         if low in ("false", "0", "no", "off"):
             return False
         raise ShapeMismatch(f"cannot parse boolean from {text!r}")
-    return target_type(text)
-
-
-def _field_types() -> dict[str, type]:
-    return {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-
-
-_TYPE_MAP = {"int": int, "float": float, "str": str, "bool": bool}
-
-
-def _resolve(tp):
-    return _TYPE_MAP[tp] if isinstance(tp, str) else tp
+    try:
+        return target_type(text)
+    except ValueError:
+        raise ShapeMismatch(f"cannot parse {target_type.__name__} from {text!r}") from None
 
 
 def set_option(config: PipelineConfig, key: str, value: str) -> None:
-    types = _field_types()
+    types = typing.get_type_hints(PipelineConfig)
     if key not in types:
         raise ShapeMismatch(f"unknown configuration key {key!r}")
-    setattr(config, key, _parse_value(value, _resolve(types[key])))
+    setattr(config, key, _parse_value(value, types[key]))
 
 
 def load_config(path) -> PipelineConfig:

@@ -91,7 +91,10 @@ def read_vol1(path) -> Vol1:
     body = blob[_HEADER.size :]
     if len(body) < attr_len:
         raise CorruptContainer(f"{path}: truncated attribute block")
-    attr_text = body[:attr_len].decode("utf-8")
+    try:
+        attr_text = body[:attr_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptContainer(f"{path}: attribute block is not UTF-8 ({exc.reason})") from None
     attrs: dict[str, str] = {}
     for line in attr_text.splitlines():
         if not line:

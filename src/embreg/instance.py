@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOverlap, NumericalDivergence, ShapeMismatch
+from .descent import descend, smoothness
+from .errors import EmptyOverlap, ShapeMismatch
 from .grid import MASK_NORM_EPS, identity_grid, trilinear_sample_with_grad
 from .metrics import lncc_gradient, ncc_gradient
 from .transform import integrate_svf_with_tape, svf_backward
@@ -46,11 +47,10 @@ class InstanceConfig:
 
 def sam_loss(warped_features, fixed_features) -> float:
     """Mean of ``1 - similarity`` over voxels unmasked on both sides."""
-    value, _ = _sam_terms(warped_features, fixed_features, with_grad=False)
-    return value
+    return _sam_terms(warped_features, fixed_features)[0]
 
 
-def _sam_terms(warped, fixed, with_grad: bool):
+def _sam_terms(warped, fixed):
     w = np.asarray(warped, dtype=np.float64)
     f = np.asarray(fixed, dtype=np.float64)
     if w.shape != f.shape:
@@ -63,10 +63,7 @@ def _sam_terms(warped, fixed, with_grad: bool):
         raise EmptyOverlap("all voxels masked in feature loss")
     sims = np.einsum("...c,...c->...", w, f)
     value = float(np.sum((1.0 - sims)[unmasked]) / n)
-    if not with_grad:
-        return value, None
-    grad = np.where(unmasked[..., None], -f / n, 0.0)
-    return value, grad
+    return value, lambda: np.where(unmasked[..., None], -f / n, 0.0)
 
 
 def reg_loss(field) -> float:
@@ -74,48 +71,37 @@ def reg_loss(field) -> float:
     f = np.asarray(field, dtype=np.float64)
     if f.ndim != 4 or f.shape[-1] != 3:
         raise ShapeMismatch(f"field must be (D,H,W,3), got {f.shape}")
-    n = int(np.prod(f.shape[:3]))
-    total = 0.0
-    for a in range(3):
-        d = np.diff(f, axis=a)
-        total += float(np.sum(d * d))
-    return total / n
+    return smoothness(f)[0]
 
 
-def _reg_gradient(field: np.ndarray) -> np.ndarray:
-    n = int(np.prod(field.shape[:3]))
-    grad = np.zeros_like(field)
-    for a in range(3):
-        d = np.diff(field, axis=a)
-        front = [slice(None)] * 4
-        back = [slice(None)] * 4
-        front[a] = slice(0, -1)
-        back[a] = slice(1, None)
-        grad[tuple(back)] += (2.0 / n) * d
-        grad[tuple(front)] -= (2.0 / n) * d
-    return grad
+def instance_objective(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> float:
+    """Weighted sum of similarity losses on the warp plus smoothness on the field."""
+    return _loss(np.asarray(field, dtype=np.float64), feats_m, feats_f, img_m, img_f, config)[0]
 
 
-def _similarity_terms(displacement, feats_m, feats_f, img_m, img_f, config, with_grad):
-    """Feature + intensity losses of a warp and, optionally, d(loss)/d(displacement)."""
-    dims = displacement.shape[:3]
-    coords = identity_grid(dims) + displacement
+def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> np.ndarray:
+    """Analytic gradient of :func:`instance_objective` w.r.t. the field."""
+    return _loss(np.asarray(field, dtype=np.float64), feats_m, feats_f, img_m, img_f, config)[1]()
+
+
+def _loss(field, feats_m, feats_f, img_m, img_f, config):
+    """Instance objective at ``field`` and a one-shot closure for its gradient.
+
+    The closure reuses this forward pass (SVF tape, sampled features and their
+    derivatives); the intensity correlation's gradient comes with its value.
+    """
+    if config.parameterization == "svf":
+        displacement, tape = integrate_svf_with_tape(field, config.svf_steps)
+    else:
+        displacement, tape = field, None
+    coords = identity_grid(field.shape[:3]) + displacement
     raw, draw = trilinear_sample_with_grad(feats_m, coords)  # (...,C), (...,C,3)
 
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     masked = norms[..., 0] < MASK_NORM_EPS
     safe = np.where(norms == 0.0, 1.0, norms)
     warped = np.where(masked[..., None], 0.0, raw / safe)
-
-    value, g_warped = _sam_terms(warped, feats_f, with_grad=with_grad)
-    g_coords = None
-    if with_grad:
-        # back through per-voxel re-normalization: (I - s s^T) / |raw|
-        unit = warped
-        proj = np.einsum("...c,...c->...", g_warped, unit)
-        g_raw = (g_warped - proj[..., None] * unit) / safe
-        g_raw = np.where(masked[..., None], 0.0, g_raw)
-        g_coords = np.einsum("...ca,...c->...a", draw, g_raw)
+    sim_value, sam_gradient = _sam_terms(warped, feats_f)
 
     if config.intensity_term != "none":
         if img_m is None or img_f is None:
@@ -125,44 +111,31 @@ def _similarity_terms(displacement, feats_m, feats_f, img_m, img_f, config, with
             corr, g_img = ncc_gradient(warped_img, img_f)
         else:
             corr, g_img = lncc_gradient(warped_img, img_f, config.lncc_window)
-        value += 1.0 - corr
-        if with_grad:
-            g_coords = g_coords + (-g_img)[..., None] * dimg
-    return value, g_coords
+        sim_value += 1.0 - corr
 
+    reg_value, reg_gradient = smoothness(field)
+    value = config.lambda_sim * sim_value + config.lambda_reg * reg_value
 
-def instance_objective(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> float:
-    """Weighted sum of similarity losses on the warp plus smoothness on the field."""
-    value, _ = _evaluate(np.asarray(field, dtype=np.float64), feats_m, feats_f, img_m, img_f, config, with_grad=False)
-    return value
+    def similarity_gradient() -> np.ndarray:
+        g_warped = sam_gradient()
+        # back through per-voxel re-normalization: (I - s s^T) / |raw|
+        proj = np.einsum("...c,...c->...", g_warped, warped)
+        g_raw = (g_warped - proj[..., None] * warped) / safe
+        g_raw = np.where(masked[..., None], 0.0, g_raw)
+        g_disp = np.einsum("...ca,...c->...a", draw, g_raw)
+        if config.intensity_term != "none":
+            g_disp = g_disp + (-g_img)[..., None] * dimg
+        return config.lambda_sim * g_disp
 
+    def gradient() -> np.ndarray:
+        nonlocal similarity_gradient
+        g_disp = similarity_gradient()
+        # Free the sampled features before the SVF adjoint allocates its own.
+        similarity_gradient = None
+        g_field = svf_backward(g_disp, tape, config.svf_steps) if tape is not None else g_disp
+        return g_field + config.lambda_reg * reg_gradient()
 
-def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> np.ndarray:
-    """Analytic gradient of :func:`instance_objective` w.r.t. the field."""
-    _, grad = _evaluate(np.asarray(field, dtype=np.float64), feats_m, feats_f, img_m, img_f, config, with_grad=True)
-    return grad
-
-
-def _evaluate(field, feats_m, feats_f, img_m, img_f, config, with_grad):
-    if config.parameterization == "svf":
-        displacement, tape = integrate_svf_with_tape(field, config.svf_steps)
-    else:
-        displacement, tape = field, None
-
-    sim_value, g_disp = _similarity_terms(
-        displacement, feats_m, feats_f, img_m, img_f, config, with_grad
-    )
-    value = config.lambda_sim * sim_value + config.lambda_reg * reg_loss(field)
-    if not with_grad:
-        return value, None
-
-    g_disp = config.lambda_sim * g_disp
-    if tape is not None:
-        g_field = svf_backward(g_disp, tape, config.svf_steps)
-    else:
-        g_field = g_disp
-    g_field = g_field + config.lambda_reg * _reg_gradient(field)
-    return value, g_field
+    return value, gradient
 
 
 def optimize_instance(
@@ -178,31 +151,13 @@ def optimize_instance(
     field = np.array(init, dtype=np.float64)
     if field.ndim != 4 or field.shape[-1] != 3:
         raise ShapeMismatch(f"init field must be (D,H,W,3), got {field.shape}")
-    value, grad = _evaluate(field, feats_m, feats_f, img_m, img_f, config, with_grad=True)
-    if not np.isfinite(value):
-        raise NumericalDivergence("initial instance objective not finite")
-
-    for _ in range(config.iterations):
-        if np.max(np.abs(grad)) < config.convergence_tol:
-            break
-        step = config.step_size
-        accepted = False
-        for _ in range(31):
-            trial = field - step * grad
-            trial_value, trial_grad = _evaluate(
-                trial, feats_m, feats_f, img_m, img_f, config, with_grad=True
-            )
-            if not np.isfinite(trial_value):
-                raise NumericalDivergence("instance objective diverged")
-            if trial_value <= value:
-                field, value, grad = trial, trial_value, trial_grad
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-
+    field = descend(
+        lambda f: _loss(f, feats_m, feats_f, img_m, img_f, config),
+        field,
+        config.step_size,
+        config.iterations,
+        config.convergence_tol,
+    )
     if config.parameterization == "svf":
-        displacement, _ = integrate_svf_with_tape(field, config.svf_steps)
-        return displacement
+        return integrate_svf_with_tape(field, config.svf_steps)[0]
     return field

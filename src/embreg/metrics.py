@@ -84,23 +84,15 @@ def dice(warped_labels, fixed_labels) -> tuple[dict[int, float], float]:
 
 def ncc(a, b) -> float:
     """Pearson correlation of two equally shaped intensity volumes."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
-    az = av - av.mean()
-    bz = bv - bv.mean()
-    saa = float(np.sum(az * az))
-    sbb = float(np.sum(bz * bz))
-    if saa <= _VAR_EPS or sbb <= _VAR_EPS:
-        raise DegenerateIntensity("zero variance volume in NCC")
-    return float(np.sum(az * bz) / np.sqrt(saa * sbb))
+    return ncc_gradient(a, b)[0]
 
 
 def ncc_gradient(a, b) -> tuple[float, np.ndarray]:
     """NCC value and its gradient with respect to ``a``."""
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
+    if av.shape != bv.shape:
+        raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
     az = av - av.mean()
     bz = bv - bv.mean()
     saa = float(np.sum(az * az))
@@ -137,14 +129,7 @@ def _lncc_stats(a: np.ndarray, b: np.ndarray, window: int):
 
 def lncc(a, b, window: int = 9) -> float:
     """Mean of windowed NCC; degenerate (zero-variance) windows contribute 0."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
-    if window < 3 or window % 2 == 0:
-        raise ShapeMismatch(f"window must be odd and >= 3, got {window}")
-    corr, _, _, _, _, _ = _lncc_stats(av, bv, window)
-    return float(corr.mean())
+    return lncc_gradient(a, b, window)[0]
 
 
 def lncc_gradient(a, b, window: int = 9) -> tuple[float, np.ndarray]:
@@ -155,6 +140,10 @@ def lncc_gradient(a, b, window: int = 9) -> tuple[float, np.ndarray]:
     """
     av = np.asarray(a, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
+    if av.shape != bv.shape:
+        raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
+    if window < 3 or window % 2 == 0:
+        raise ShapeMismatch(f"window must be odd and >= 3, got {window}")
     corr, good, denom, saa, mean_a, mean_b = _lncc_stats(av, bv, window)
     value = float(corr.mean())
     inv_d = np.where(good, 1.0 / denom, 0.0)

@@ -25,12 +25,55 @@ def _stage(name: str, fn):
         raise type(exc)(f"[{name}] {exc}") from exc
 
 
-def scale_matches(matches: MatchSet, scale: float):
-    """Match coordinates converted from feature-grid to image-grid voxels."""
-    return (
-        matches.moving.astype(np.float64) * scale,
-        matches.fixed.astype(np.float64) * scale,
+def match_stage(config: PipelineConfig, feats_moving, feats_fixed) -> MatchSet:
+    """Cycle-consistent matches between two feature maps, filtered by ``epsilon``."""
+    matches = sscc(
+        feats_moving, feats_fixed, step=config.match_step, iterations=config.sscc_iterations
     )
+    return filter_matches(matches, config.epsilon)
+
+
+def coarse_stage(config: PipelineConfig, matches: MatchSet, affine: AffineTransform, dims):
+    """Coarse lattice fitted to feature-grid matches converted to image-grid voxels."""
+    if config.feature_scale != 1.0:
+        matches = MatchSet(
+            moving=np.rint(matches.moving * config.feature_scale).astype(np.int64),
+            fixed=np.rint(matches.fixed * config.feature_scale).astype(np.int64),
+            scores=matches.scores,
+        )
+    opt = OptimizerConfig(
+        step_size=config.coarse_step_size,
+        iterations=config.coarse_iterations,
+        reg_weight=config.coarse_reg_weight,
+        convergence_tol=config.coarse_tol,
+    )
+    return optimize_coarse(matches, affine, config.coarse_stride, dims, opt)
+
+
+def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine, coarse_dense):
+    """Fit the instance field after the affine and coarse stages; returns ``(dense, pre_map)``."""
+    dims = fixed.dims
+    pre_map = compose(CompositeTransform(affine=affine, coarse=coarse_dense), dims)
+    icfg = InstanceConfig(
+        lambda_sim=config.lambda_sim,
+        lambda_reg=config.lambda_reg,
+        intensity_term=config.intensity_term,
+        lncc_window=config.lncc_window,
+        parameterization=config.parameterization,
+        svf_steps=config.svf_steps,
+        step_size=config.instance_step_size,
+        iterations=config.instance_iterations,
+        convergence_tol=config.instance_tol,
+    )
+    dense = optimize_instance(
+        warp_features(moving.features, pre_map),
+        fixed.features,
+        warp_scalar(moving.intensity, pre_map),
+        fixed.intensity,
+        np.zeros(dims + (3,)),
+        icfg,
+    )
+    return dense, pre_map
 
 
 def run_pipeline(
@@ -55,18 +98,7 @@ def run_pipeline(
     artifacts: dict = {}
 
     t0 = time.perf_counter()
-    matches = _stage(
-        "match",
-        lambda: filter_matches(
-            sscc(
-                moving.features,
-                fixed.features,
-                step=config.match_step,
-                iterations=config.sscc_iterations,
-            ),
-            config.epsilon,
-        ),
-    )
+    matches = _stage("match", lambda: match_stage(config, moving.features, fixed.features))
     timings["match"] = time.perf_counter() - t0
     artifacts["matches"] = matches
 
@@ -80,26 +112,7 @@ def run_pipeline(
     coarse_dense = None
     if config.enable_coarse:
         t0 = time.perf_counter()
-        # coarse stage works in image-grid voxel units
-        if config.feature_scale != 1.0:
-            xm, xf = scale_matches(matches, config.feature_scale)
-            image_matches = MatchSet(
-                moving=np.rint(xm).astype(np.int64),
-                fixed=np.rint(xf).astype(np.int64),
-                scores=matches.scores,
-            )
-        else:
-            image_matches = matches
-        opt = OptimizerConfig(
-            step_size=config.coarse_step_size,
-            iterations=config.coarse_iterations,
-            reg_weight=config.coarse_reg_weight,
-            convergence_tol=config.coarse_tol,
-        )
-        coarse_field = _stage(
-            "coarse",
-            lambda: optimize_coarse(image_matches, affine, config.coarse_stride, dims, opt),
-        )
+        coarse_field = _stage("coarse", lambda: coarse_stage(config, matches, affine, dims))
         coarse_dense = upsample_coarse(coarse_field, dims)
         timings["coarse"] = time.perf_counter() - t0
         artifacts["coarse_field"] = coarse_field
@@ -108,31 +121,8 @@ def run_pipeline(
     dense = None
     if config.enable_instance:
         t0 = time.perf_counter()
-        pre = CompositeTransform(affine=affine, coarse=coarse_dense, dense=None)
-        pre_map = compose(pre, dims)
-        feats_pre = warp_features(moving.features, pre_map)
-        img_pre = warp_scalar(moving.intensity, pre_map)
-        icfg = InstanceConfig(
-            lambda_sim=config.lambda_sim,
-            lambda_reg=config.lambda_reg,
-            intensity_term=config.intensity_term,
-            lncc_window=config.lncc_window,
-            parameterization=config.parameterization,
-            svf_steps=config.svf_steps,
-            step_size=config.instance_step_size,
-            iterations=config.instance_iterations,
-            convergence_tol=config.instance_tol,
-        )
-        dense = _stage(
-            "instance",
-            lambda: optimize_instance(
-                feats_pre,
-                fixed.features,
-                img_pre,
-                fixed.intensity,
-                np.zeros(dims + (3,)),
-                icfg,
-            ),
+        dense, pre_map = _stage(
+            "instance", lambda: instance_stage(config, moving, fixed, affine, coarse_dense)
         )
         timings["instance"] = time.perf_counter() - t0
         artifacts["pre_map"] = pre_map

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,21 +49,27 @@ def _check_field(v) -> np.ndarray:
     return arr
 
 
-def integrate_svf(velocity, steps: int = 7) -> np.ndarray:
-    """Flow of a stationary velocity field via scaling and squaring.
-
-    The initial displacement is ``v / 2**steps``; each of the ``steps``
-    squarings self-composes the field with trilinear sampling (border
-    clamped).
-    """
+def _squarings(velocity, steps: int):
+    """Yield ``v / 2**steps`` and then each of its ``steps`` self-compositions."""
     v = _check_field(velocity)
     if int(steps) < 1:
         raise ShapeMismatch(f"steps must be >= 1, got {steps}")
     grid = identity_grid(v.shape[:3])
     u = v / float(2 ** int(steps))
+    yield u
     for _ in range(int(steps)):
         u = u + trilinear_sample(u, grid + u)
-    return u
+        yield u
+
+
+def integrate_svf(velocity, steps: int = 7) -> np.ndarray:
+    """Flow of a stationary velocity field via scaling and squaring.
+
+    The initial displacement is ``v / 2**steps``; each of the ``steps``
+    squarings self-composes the field with trilinear sampling (border
+    clamped). Only the last field is kept.
+    """
+    return deque(_squarings(velocity, steps), maxlen=1)[0]
 
 
 def integrate_svf_with_tape(velocity, steps: int = 7):
@@ -71,14 +78,8 @@ def integrate_svf_with_tape(velocity, steps: int = 7):
     The tape (list of fields, scaled start first) feeds the adjoint pass
     in :func:`svf_backward`.
     """
-    v = _check_field(velocity)
-    grid = identity_grid(v.shape[:3])
-    u = v / float(2 ** int(steps))
-    tape = [u]
-    for _ in range(int(steps)):
-        u = u + trilinear_sample(u, grid + u)
-        tape.append(u)
-    return u, tape
+    tape = list(_squarings(velocity, steps))
+    return tape[-1], tape
 
 
 def svf_backward(grad_displacement, tape, steps: int) -> np.ndarray:
@@ -126,11 +127,9 @@ def compose(transform: CompositeTransform, dims=None) -> np.ndarray:
             dims = transform.coarse.shape[:3]
         else:
             raise ShapeMismatch("grid dims required for an affine-only transform")
-    grid = identity_grid(dims)
-    y = grid if transform.dense is None else grid + transform.dense
-    if transform.coarse is not None:
-        y = y + trilinear_sample(transform.coarse, y)
-    return apply_affine(invert_affine(transform.affine), y)
+    if transform.dense is not None and transform.dense.shape[:3] != tuple(dims):
+        raise ShapeMismatch(f"dense field grid {transform.dense.shape[:3]} != {tuple(dims)}")
+    return compose_at_points(transform, identity_grid(dims))
 
 
 def compose_at_points(transform: CompositeTransform, points) -> np.ndarray:

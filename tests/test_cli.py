@@ -219,7 +219,8 @@ def test_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
-def test_bad_config_key_exits_3(synth_pair, tmp_path):
+@pytest.mark.parametrize("setting", ["bogus_key=1", "match_step=abc"])
+def test_bad_config_key_exits_3(synth_pair, tmp_path, setting):
     rc = main(
         [
             "match",
@@ -230,7 +231,79 @@ def test_bad_config_key_exits_3(synth_pair, tmp_path):
             "--out",
             str(tmp_path / "m.txt"),
             "--set",
-            "bogus_key=1",
+            setting,
         ]
     )
     assert rc == 3
+
+
+def test_eval_landmark_error_uses_label_spacing(tmp_path):
+    from embreg.affine import AffineTransform
+    from embreg.grid import identity_grid
+
+    dims = (8, 8, 8)
+    labels = np.zeros(dims, dtype=np.uint16)
+    labels[2:6, 2:6, 2:6] = 1
+    write_vol1(tmp_path / "moving.vol1", labels, dtype="u16")
+    write_vol1(tmp_path / "fixed.vol1", labels, dtype="u16", spacing=(2.0, 1.0, 1.0))
+    write_vol1(tmp_path / "gt_map.vol1", identity_grid(dims))
+    # the fixed-to-moving map is x - (1, 0, 0): one voxel along z everywhere
+    shift = AffineTransform.from_linear_translation(np.eye(3), [1.0, 0.0, 0.0])
+    (tmp_path / "affine.json").write_text(shift.to_json())
+    (tmp_path / "transform.json").write_text(json.dumps({"affine": "affine.json"}))
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            str(tmp_path / "moving.vol1"),
+            "--fixed-labels",
+            str(tmp_path / "fixed.vol1"),
+            "--gt-map",
+            str(tmp_path / "gt_map.vol1"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 0
+    assert json.loads(out.read_text())["mean_landmark_error"] == pytest.approx(2.0)
+
+
+def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
+    from embreg.cli import _load_bundle
+    from embreg.config import PipelineConfig
+    from embreg.matching import save_matches
+    from embreg.pipeline import run_pipeline
+
+    config = PipelineConfig(
+        match_step=2, coarse_iterations=40, feature_scale=2.0, enable_instance=False
+    )
+    moving = _load_bundle(synth_pair / "moving")
+    fixed = _load_bundle(synth_pair / "fixed")
+    _, _, artifacts = run_pipeline(config, moving, fixed)
+
+    save_matches(artifacts["matches"], tmp_path / "matches.txt")
+    (tmp_path / "affine.json").write_text(artifacts["affine"].to_json())
+    rc = main(
+        [
+            "coarse",
+            "--matches",
+            str(tmp_path / "matches.txt"),
+            "--affine",
+            str(tmp_path / "affine.json"),
+            "--fixed-features",
+            str(synth_pair / "fixed/features.vol1"),
+            "--out",
+            str(tmp_path / "coarse.vol1"),
+            "--set",
+            "coarse_iterations=40",
+            "--set",
+            "feature_scale=2",
+        ]
+    )
+    assert rc == 0
+    np.testing.assert_array_equal(
+        read_vol1(tmp_path / "coarse.vol1").values, artifacts["coarse_field"].lattice
+    )

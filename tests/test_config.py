@@ -40,6 +40,9 @@ def test_load_config_rejects_garbage(tmp_path):
     path.write_text("this is not a key value line\n")
     with pytest.raises(ShapeMismatch):
         load_config(path)
+    path.write_text("match_step = abc\n")
+    with pytest.raises(ShapeMismatch):
+        load_config(path)
 
 
 def test_set_option_unknown_key():

@@ -122,6 +122,17 @@ def test_malformed_attribute_line_raises(tmp_path):
         read_vol1(bad)
 
 
+def test_non_utf8_attribute_block_raises(tmp_path):
+    good = tmp_path / "o.vol1"
+    write_vol1(good, np.zeros((2, 2, 2)), attrs={"ok": "1"})
+    blob = bytearray(good.read_bytes())
+    blob[blob.index(b"ok=1")] = 0xFF
+    bad = tmp_path / "o2.vol1"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(CorruptContainer):
+        read_vol1(bad)
+
+
 def test_write_rejects_bad_shapes_and_dtypes(tmp_path):
     with pytest.raises(ShapeMismatch):
         write_vol1(tmp_path / "m.vol1", np.zeros((2, 2)))

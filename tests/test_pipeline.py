@@ -118,6 +118,15 @@ def test_pipeline_rejects_mismatched_bundles():
         )
 
 
+@pytest.mark.parametrize("part", ["features", "intensity"])
+def test_bundle_rejects_non_finite_inputs(part):
+    features = np.ones((4, 4, 4, 2))
+    intensity = np.ones((4, 4, 4))
+    {"features": features, "intensity": intensity}[part][1, 2, 3] = np.nan
+    with pytest.raises(ShapeMismatch):
+        Bundle(features=features, intensity=intensity)
+
+
 def test_pipeline_final_map_matches_compose_of_returned_transform():
     moving, fixed, _, _ = synth_case(seed=7, dims=(12, 12, 12))
     transform, _, artifacts = run_pipeline(fast_config(instance_iterations=5), moving, fixed)

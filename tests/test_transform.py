@@ -156,6 +156,12 @@ def test_composite_rejects_mismatched_stage_grids():
         )
 
 
+def test_compose_rejects_dense_field_on_another_grid():
+    t = CompositeTransform(affine=AffineTransform.identity(), dense=np.zeros((4, 4, 4, 3)))
+    with pytest.raises(ShapeMismatch):
+        compose(t, (5, 4, 4))
+
+
 def test_jacobian_of_identity_map_is_one():
     det = jacobian_determinant(identity_grid((5, 5, 5)))
     np.testing.assert_allclose(det, 1.0, atol=1e-12)
