@@ -46,7 +46,6 @@ from .matching import (
     load_matches,
     save_matches,
     select_points,
-    similarity,
     sscc,
 )
 from .metrics import RegistrationReport, dice, landmark_error, lncc, ncc

@@ -17,7 +17,7 @@ from .bundle import Bundle
 from .coarse import CoarseField, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import read_vol1, write_vol1
-from .errors import NumericalDivergence, RegistrationError, ShapeMismatch
+from .errors import CorruptContainer, NumericalDivergence, RegistrationError
 from .grid import warp_labels
 from .matching import load_matches, save_matches
 from .metrics import RegistrationReport, dice, landmark_error
@@ -27,10 +27,14 @@ from .transform import CompositeTransform, compose, folding_fraction, jacobian_d
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
-    parts = [int(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ShapeMismatch(f"dims must be D,H,W, got {text!r}")
-    return tuple(parts)
+    """argparse ``type`` for ``D,H,W``: a malformed value is a usage error (exit 2)."""
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != 3 or min(parts) < 1:
+        raise argparse.ArgumentTypeError(f"dims must be three positive integers D,H,W, got {text!r}")
+    return parts
 
 
 def _config_from_args(args) -> PipelineConfig:
@@ -62,7 +66,7 @@ def _write_bundle(directory: Path, bundle: Bundle) -> None:
 
 def cmd_synth(args) -> int:
     spec = SynthSpec(
-        dims=_parse_dims(args.dims),
+        dims=args.dims,
         channels=args.channels,
         feature_smoothness=args.feature_smoothness,
         warp_amplitude=args.warp_amplitude,
@@ -139,7 +143,11 @@ def cmd_instance(args) -> int:
     coarse_dense = None
     if args.coarse:
         vol = read_vol1(args.coarse)
-        field = CoarseField(stride=int(vol.attrs["stride"]), lattice=vol.values)
+        try:
+            stride = int(vol.attrs["stride"])
+        except (KeyError, ValueError) as exc:
+            raise CorruptContainer(f"{args.coarse}: lattice needs an integer 'stride' attribute") from exc
+        field = CoarseField(stride=stride, lattice=vol.values)
         coarse_dense = upsample_coarse(field, fixed.dims)
     dense, _ = instance_stage(config, moving, fixed, affine, coarse_dense)
     write_vol1(args.out, dense)
@@ -170,10 +178,14 @@ def cmd_register(args) -> int:
 
 
 def _load_transform(directory: Path) -> CompositeTransform:
-    manifest = json.loads((directory / "transform.json").read_text())
-    affine = AffineTransform.from_json((directory / manifest["affine"]).read_text())
-    coarse = read_vol1(directory / manifest["coarse"]).values if "coarse" in manifest else None
-    dense = read_vol1(directory / manifest["dense"]).values if "dense" in manifest else None
+    """The transform ``embreg register`` wrote to ``directory``; bad JSON is a data error."""
+    try:
+        manifest = json.loads((directory / "transform.json").read_text())
+        affine = AffineTransform.from_json((directory / manifest["affine"]).read_text())
+        coarse = read_vol1(directory / manifest["coarse"]).values if "coarse" in manifest else None
+        dense = read_vol1(directory / manifest["dense"]).values if "dense" in manifest else None
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptContainer(f"{directory}: malformed transform: {exc!r}") from exc
     return CompositeTransform(affine=affine, coarse=coarse, dense=dense)
 
 
@@ -219,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic registration pair")
     p.add_argument("--out", required=True)
-    p.add_argument("--dims", default="24,24,24")
+    p.add_argument("--dims", type=_parse_dims, default="24,24,24")
     p.add_argument("--channels", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--feature-smoothness", type=float, default=2.0)

@@ -1,4 +1,4 @@
-"""Feature similarity, exhaustive correspondence search, and stable sampling.
+"""Exhaustive correspondence search and stable sampling.
 
 The matcher pairs voxels of two unit-norm feature maps by dot-product
 (cosine) similarity. Stable sampling iterates forward/backward
@@ -47,15 +47,6 @@ class MatchSet:
         return self.moving.shape[0]
 
 
-def similarity(a, b) -> float:
-    """Dot product of two feature vectors (cosine similarity for unit norm)."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape:
-        raise DimensionMismatch(f"vector lengths differ: {av.shape} vs {bv.shape}")
-    return float(np.dot(av.ravel(), bv.ravel()))
-
-
 def select_points(dims, step: int) -> np.ndarray:
     """Evenly distributed lattice of voxel coordinates.
 
@@ -71,12 +62,22 @@ def select_points(dims, step: int) -> np.ndarray:
     return np.stack([zz.ravel(), yy.ravel(), xx.ravel()], axis=-1)
 
 
+# Score bytes per block of the key-major search: with float64 scores a block
+# holds ``_BLOCK_BYTES // (8 * V)`` key rows (32 rows at 40^3, 151 at 24^3).
+_BLOCK_BYTES = 16 << 20
+
+
 def find_points(keys, feat_key, feat_query) -> np.ndarray:
     """For each key voxel, the query voxel with the most similar feature.
 
     Exhaustive search over the full query lattice; ties resolve to the
     lowest lexicographic ``(z, y, x)`` coordinate. Equivalent, bit for
     bit, to a sequential brute-force scan keeping the first maximum.
+
+    Keys are scored in blocks of rows against the flattened query map and
+    each row is reduced with a first-maximum ``argmax``, so a call holds
+    at most ``_BLOCK_BYTES`` (16 MB) of scores, or one key row when a row
+    alone is larger, whatever the number of keys.
     """
     fk = np.asarray(feat_key, dtype=np.float64)
     fq = np.asarray(feat_query, dtype=np.float64)
@@ -89,8 +90,12 @@ def find_points(keys, feat_key, feat_query) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.int64)
     key_vecs = fk[keys[:, 0], keys[:, 1], keys[:, 2]]  # (N, C)
     dims = fq.shape[:3]
-    scores = fq.reshape(-1, fq.shape[-1]) @ key_vecs.T  # (V, N)
-    flat_idx = np.argmax(scores, axis=0)  # first max == lexicographic tie-break
+    query_t = fq.reshape(-1, fq.shape[-1]).T  # (C, V)
+    rows = max(1, _BLOCK_BYTES // (8 * query_t.shape[1]))
+    flat_idx = np.empty(len(keys), dtype=np.int64)
+    for start in range(0, len(keys), rows):
+        # (rows, V) scores, freed before the next block; argmax keeps the first max
+        flat_idx[start:start + rows] = np.argmax(key_vecs[start:start + rows] @ query_t, axis=1)
     return np.stack(np.unravel_index(flat_idx, dims), axis=-1).astype(np.int64)
 
 
@@ -98,9 +103,13 @@ def sscc(feat_moving, feat_fixed, step: int = 4, iterations: int = 5) -> MatchSe
     """Stable sampling via cycle consistency.
 
     Starts from an even lattice on the moving grid and alternates
-    forward/backward nearest-feature searches for ``iterations`` rounds.
-    Duplicate ``(moving, fixed)`` pairs are collapsed to one, keeping
-    first-occurrence order.
+    forward/backward nearest-feature searches for up to ``iterations``
+    rounds. It stops at the first search that returns exactly the points
+    the previous search in the same direction returned (the starting
+    lattice counts as the previous backward result): every later search
+    would get the same input, so the result is identical to running all
+    ``iterations`` rounds. Duplicate ``(moving, fixed)`` pairs are
+    collapsed to one, keeping first-occurrence order.
     """
     if int(iterations) < 1:
         raise InvalidStep(f"iterations must be >= 1, got {iterations}")
@@ -109,8 +118,14 @@ def sscc(feat_moving, feat_fixed, step: int = 4, iterations: int = 5) -> MatchSe
     x_m = select_points(fm.shape[:3], step)
     x_f = None
     for _ in range(int(iterations)):
-        x_f = find_points(x_m, fm, ff)
-        x_m = find_points(x_f, ff, fm)
+        fwd = find_points(x_m, fm, ff)
+        if x_f is not None and np.array_equal(fwd, x_f):
+            break
+        x_f = fwd
+        back = find_points(x_f, ff, fm)
+        if np.array_equal(back, x_m):
+            break
+        x_m = back
 
     vm = fm[x_m[:, 0], x_m[:, 1], x_m[:, 2]]
     vf = ff[x_f[:, 0], x_f[:, 1], x_f[:, 2]]

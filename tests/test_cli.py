@@ -307,3 +307,61 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
     np.testing.assert_array_equal(
         read_vol1(tmp_path / "coarse.vol1").values, artifacts["coarse_field"].lattice
     )
+
+
+@pytest.mark.parametrize("dims", ["a,b,c", "1,2", "0,4,4", "-3,4,4"])
+def test_synth_bad_dims_exits_2(tmp_path, dims):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "--out", str(tmp_path / "pair"), f"--dims={dims}"])
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "pair").exists()
+
+
+@pytest.mark.parametrize("attrs", [None, {"stride": "two"}])
+def test_instance_coarse_without_integer_stride_exits_3(synth_pair, tmp_path, attrs, capsys):
+    lattice = tmp_path / "coarse.vol1"
+    write_vol1(lattice, np.zeros((4, 4, 4, 3)), attrs=attrs)
+    rc = main(
+        [
+            "instance",
+            "--moving-dir",
+            str(synth_pair / "moving"),
+            "--fixed-dir",
+            str(synth_pair / "fixed"),
+            "--coarse",
+            str(lattice),
+            "--out",
+            str(tmp_path / "dense.vol1"),
+        ]
+    )
+    assert rc == 3
+    assert "stride" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "manifest, affine",
+    [
+        ('{"affine": "affine.json"}', "garbage"),
+        ("garbage", "[]"),
+        ("{}", "[]"),
+        ('["affine.json"]', "[]"),
+    ],
+)
+def test_eval_malformed_transform_exits_3(tmp_path, manifest, affine, capsys):
+    labels = np.ones((6, 6, 6), dtype=np.uint16)
+    write_vol1(tmp_path / "labels.vol1", labels, dtype="u16")
+    (tmp_path / "transform.json").write_text(manifest)
+    (tmp_path / "affine.json").write_text(affine)
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            str(tmp_path / "labels.vol1"),
+            "--fixed-labels",
+            str(tmp_path / "labels.vol1"),
+        ]
+    )
+    assert rc == 3
+    assert "malformed transform" in capsys.readouterr().err

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from embreg import matching
 from embreg.errors import DimensionMismatch, InvalidStep
 from embreg.grid import normalize_features
 from embreg.matching import (
@@ -10,7 +13,6 @@ from embreg.matching import (
     load_matches,
     save_matches,
     select_points,
-    similarity,
     sscc,
 )
 
@@ -18,18 +20,6 @@ from embreg.matching import (
 def distinct_features(dims, channels, seed):
     rng = np.random.default_rng(seed)
     return normalize_features(rng.normal(size=dims + (channels,)))
-
-
-def test_similarity_trivial_values():
-    v = np.array([0.6, 0.8, 0.0])
-    assert similarity(v, v) == pytest.approx(1.0)
-    assert similarity([1, 0, 0], [0, 1, 0]) == pytest.approx(0.0)
-    assert similarity(v, -v) == pytest.approx(-1.0)
-
-
-def test_similarity_rejects_length_mismatch():
-    with pytest.raises(DimensionMismatch):
-        similarity([1, 0], [1, 0, 0])
 
 
 def test_select_points_step_two_on_cube():
@@ -68,20 +58,26 @@ def test_find_points_identity_on_self():
     np.testing.assert_array_equal(found, keys)
 
 
+def first_max_scan(keys, fk, fq):
+    """Sequential scan over query voxels in (z, y, x) order keeping the first maximum."""
+    found = []
+    for key in keys:
+        best, best_score = None, -np.inf
+        for z in range(fq.shape[0]):
+            for y in range(fq.shape[1]):
+                for x in range(fq.shape[2]):
+                    s = float(np.dot(fk[tuple(key)], fq[z, y, x]))
+                    if s > best_score:
+                        best, best_score = (z, y, x), s
+        found.append(best)
+    return np.array(found)
+
+
 def test_find_points_matches_brute_force_loop():
     fk = distinct_features((2, 2, 2), 4, seed=1)
     fq = distinct_features((2, 2, 2), 4, seed=2)
     keys = select_points((2, 2, 2), 1)
-    found = find_points(keys, fk, fq)
-    for key, got in zip(keys, found):
-        best, best_score = None, -np.inf
-        for z in range(2):
-            for y in range(2):
-                for x in range(2):
-                    s = float(np.dot(fk[tuple(key)], fq[z, y, x]))
-                    if s > best_score:
-                        best, best_score = (z, y, x), s
-        assert tuple(got) == best
+    np.testing.assert_array_equal(find_points(keys, fk, fq), first_max_scan(keys, fk, fq))
 
 
 def test_find_points_tie_breaks_to_lowest_lexicographic():
@@ -89,6 +85,45 @@ def test_find_points_tie_breaks_to_lowest_lexicographic():
     fq = np.broadcast_to(fk[0, 0, 0], (2, 2, 2, 4)).copy()
     found = find_points(select_points((2, 2, 2), 1), fk, fq)
     assert np.all(found == 0)
+
+
+def test_find_points_blocks_match_first_max_scan_on_ties(monkeypatch):
+    dims = (4, 5, 6)
+    fk = distinct_features(dims, 4, seed=20)
+    fq = distinct_features(dims, 4, seed=21)
+    # exact duplicates in the query map, at the first and last flat voxel and inside
+    fq[-1, -1, -1] = fq[0, 0, 0]
+    fq[3, 0, 2] = fq[1, 4, 5]
+    fq[2, 2, 2] = fq[1, 4, 5]
+    # key vectors equal to the duplicated ones, so the tied voxels hold the maximum
+    fk[0, 1, 1] = fq[0, 0, 0]
+    fk[3, 4, 0] = fq[0, 0, 0]
+    fk[1, 1, 1] = fq[1, 4, 5]
+    fk[2, 3, 4] = fq[1, 4, 5]
+    keys = select_points(dims, 1)
+    rows = 7
+    monkeypatch.setattr(matching, "_BLOCK_BYTES", rows * 8 * fq[..., 0].size)
+    assert len(keys) > 2 * rows
+    found = find_points(keys, fk, fq)
+    np.testing.assert_array_equal(found, first_max_scan(keys, fk, fq))
+    assert tuple(found[keys.tolist().index([3, 4, 0])]) == (0, 0, 0)
+    assert tuple(found[keys.tolist().index([2, 3, 4])]) == (1, 4, 5)
+
+
+def test_find_points_peak_memory_flat_in_key_count():
+    dims = (24, 24, 24)
+    feats = distinct_features(dims, 16, seed=22)
+    rng = np.random.default_rng(23)
+    peaks = []
+    for n in (200, 2000):
+        keys = rng.integers(0, 24, size=(n, 3))
+        tracemalloc.start()
+        find_points(keys, feats, feats)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # a dense (voxels x keys) score matrix would take 22 MB and 221 MB
+    assert peaks[1] < peaks[0] + 2**20
+    assert peaks[1] < matching._BLOCK_BYTES + 2**20
 
 
 def test_find_points_rejects_channel_mismatch():
@@ -119,11 +154,8 @@ def test_sscc_recovers_integer_translation():
 
 
 def test_sscc_ambiguous_key_converges_to_cycle_fixed_point():
-    feats_m = distinct_features((5, 5, 5), 8, seed=8)
-    feats_f = distinct_features((5, 5, 5), 8, seed=9)
-    # plant an ambiguous feature: one moving voxel duplicated at two distant fixed spots
-    feats_f[0, 0, 0] = feats_m[2, 2, 2]
-    feats_f[4, 4, 4] = feats_m[2, 2, 2]
+    # an ambiguous feature: one moving voxel duplicated at two distant fixed spots
+    feats_m, feats_f = planted_ambiguity()
     ms = sscc(feats_m, feats_f, step=2, iterations=5)
     for xm in ms.moving:
         xf = find_points(xm[None], feats_m, feats_f)
@@ -137,6 +169,56 @@ def test_sscc_collapses_duplicate_pairs():
     ms = sscc(feats_m, feats_f, step=2, iterations=3)
     pairs = {tuple(np.concatenate([m, f])) for m, f in zip(ms.moving, ms.fixed)}
     assert len(pairs) == len(ms)
+
+
+def sscc_all_rounds(fm, ff, step, iterations):
+    """``sscc`` without the early stop: every one of ``iterations`` rounds is searched."""
+    x_m = select_points(fm.shape[:3], step)
+    for _ in range(iterations):
+        x_f = find_points(x_m, fm, ff)
+        x_m = find_points(x_f, ff, fm)
+    scores = np.einsum("nc,nc->n", fm[tuple(x_m.T)], ff[tuple(x_f.T)])
+    _, first = np.unique(np.concatenate([x_m, x_f], axis=1), axis=0, return_index=True)
+    keep = np.sort(first)
+    return x_m[keep], x_f[keep], scores[keep]
+
+
+def planted_ambiguity():
+    feats_m = distinct_features((5, 5, 5), 8, seed=8)
+    feats_f = distinct_features((5, 5, 5), 8, seed=9)
+    feats_f[0, 0, 0] = feats_m[2, 2, 2]
+    feats_f[4, 4, 4] = feats_m[2, 2, 2]
+    return feats_m, feats_f
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", ["random-1", "random-2", "random-3", "planted"])
+def test_sscc_early_stop_equals_all_rounds(case, iterations):
+    if case == "planted":
+        fm, ff = planted_ambiguity()
+    else:
+        seed = int(case.split("-")[1])
+        fm = distinct_features((6, 7, 5), 3, seed=30 + seed)
+        ff = distinct_features((6, 7, 5), 3, seed=40 + seed)
+    ms = sscc(fm, ff, step=2, iterations=iterations)
+    moving, fixed, scores = sscc_all_rounds(fm, ff, 2, iterations)
+    np.testing.assert_array_equal(ms.moving, moving)
+    np.testing.assert_array_equal(ms.fixed, fixed)
+    np.testing.assert_array_equal(ms.scores, scores)
+
+
+def test_sscc_stops_after_two_searches_on_identical_maps(monkeypatch):
+    feats = distinct_features((6, 6, 6), 12, seed=6)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return find_points(*args)
+
+    monkeypatch.setattr(matching, "find_points", counting)
+    ms = sscc(feats, feats, iterations=5)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(ms.moving, ms.fixed)
 
 
 def test_filter_matches_threshold_behavior():
