@@ -21,10 +21,8 @@ from .config import PipelineConfig, apply_overrides, load_config
 from .container import Vol1, read_vol1, write_vol1
 from .grid import (
     GridShape,
-    assemble_features,
     identity_grid,
     normalize_features,
-    resize_linear,
     trilinear_sample,
     trilinear_sample_with_grad,
     warp_features,

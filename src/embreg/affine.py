@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatches, ShapeMismatch, SingularAffine
+from .errors import CorruptContainer, DegenerateMatches, ShapeMismatch, SingularAffine
 from .matching import MatchSet
 
 # Normative conditioning threshold for the least-squares design matrix.
@@ -26,6 +26,8 @@ class AffineTransform:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise ShapeMismatch(f"affine matrix must be 4x4, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ShapeMismatch("non-finite affine matrix")
         if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
             raise ShapeMismatch(f"last affine row must be (0,0,0,1), got {m[3]}")
         if abs(np.linalg.det(m[:3, :3])) <= _DET_EPS:
@@ -55,10 +57,16 @@ class AffineTransform:
         return json.dumps([float(v) for v in self.matrix.ravel()])
 
     @classmethod
-    def from_json(cls, text: str) -> "AffineTransform":
-        values = json.loads(text)
+    def from_json(cls, text: str | bytes) -> "AffineTransform":
+        """Parse :meth:`to_json` output; text that is not JSON numbers is a data error."""
+        try:
+            values = json.loads(text)  # undecodable bytes raise a ValueError too
+        except ValueError as exc:
+            raise CorruptContainer(f"affine is not JSON: {exc}") from exc
         if not isinstance(values, list) or len(values) != 16:
             raise ShapeMismatch("affine JSON must be a 16-number row-major array")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise CorruptContainer("affine JSON entries must be numbers")
         return cls(np.array(values, dtype=np.float64).reshape(4, 4))
 
 

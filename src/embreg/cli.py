@@ -123,7 +123,7 @@ def cmd_affine(args) -> int:
 def cmd_coarse(args) -> int:
     config = _config_from_args(args)
     matches = load_matches(args.matches)
-    affine = AffineTransform.from_json(Path(args.affine).read_text())
+    affine = AffineTransform.from_json(Path(args.affine).read_bytes())
     dims = read_vol1(args.fixed_features).values.shape[:3]
     field = coarse_stage(config, matches, affine, dims)
     write_vol1(args.out, field.lattice, attrs={"stride": str(field.stride)})
@@ -136,7 +136,7 @@ def cmd_instance(args) -> int:
     moving = _load_bundle(Path(args.moving_dir))
     fixed = _load_bundle(Path(args.fixed_dir))
     affine = (
-        AffineTransform.from_json(Path(args.affine).read_text())
+        AffineTransform.from_json(Path(args.affine).read_bytes())
         if args.affine
         else AffineTransform.identity()
     )
@@ -184,7 +184,7 @@ def _load_transform(directory: Path) -> CompositeTransform:
         affine = AffineTransform.from_json((directory / manifest["affine"]).read_text())
         coarse = read_vol1(directory / manifest["coarse"]).values if "coarse" in manifest else None
         dense = read_vol1(directory / manifest["dense"]).values if "dense" in manifest else None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, CorruptContainer) as exc:
         raise CorruptContainer(f"{directory}: malformed transform: {exc!r}") from exc
     return CompositeTransform(affine=affine, coarse=coarse, dense=dense)
 

@@ -16,7 +16,8 @@ import numpy as np
 from .affine import AffineTransform, apply_affine, invert_affine
 from .descent import descend, smoothness
 from .errors import EmptyMatchSet, ShapeMismatch
-from .grid import identity_grid, trilinear_corners, trilinear_sample
+from .grid import Stencil, identity_grid, trilinear_sample
+from .grid import trilinear_corners  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .matching import MatchSet
 
 
@@ -61,30 +62,24 @@ def lattice_dims(grid_dims, stride: int) -> tuple[int, int, int]:
     return tuple(int(math.ceil(d / stride)) for d in grid_dims)
 
 
-def _match_targets(matches: MatchSet, affine: AffineTransform):
+def _match_targets(matches: MatchSet, affine: AffineTransform, field: CoarseField):
+    """Stencil of the pre-aligned fixed points ``y`` on the lattice, ``y``, and the moving targets."""
     if len(matches) == 0:
         raise EmptyMatchSet("coarse stage received no matches")
     inv = invert_affine(affine)
     y = apply_affine(inv, matches.fixed.astype(np.float64))
-    return y, matches.moving.astype(np.float64)
+    return Stencil(y / field.stride, field.lattice.shape[:3]), y, matches.moving.astype(np.float64)
 
 
-def _coarse_loss(lattice, stride: int, y, xm, reg_weight: float):
+def _coarse_loss(lattice, stencil: Stencil, y, xm, reg_weight: float):
     """Coarse objective at ``lattice`` and a closure for its gradient."""
-    pts = y / stride
-    uy = trilinear_sample(lattice, pts)
-    resid = xm - (y + uy)
+    resid = xm - (y + stencil.sample(lattice))
     data = float(np.mean(np.sum(resid * resid, axis=1)))
     reg, reg_gradient = smoothness(lattice)
     value = data + float(reg_weight) * reg
 
     def gradient() -> np.ndarray:
-        grad = np.zeros_like(lattice)
-        corners, weights = trilinear_corners(pts, lattice.shape[:3])
-        contrib = (-2.0 / len(y)) * weights[:, :, None] * resid[:, None, :]  # (n, 8, 3)
-        flat = corners.reshape(-1, 3)
-        np.add.at(grad, (flat[:, 0], flat[:, 1], flat[:, 2]), contrib.reshape(-1, 3))
-        return grad + float(reg_weight) * reg_gradient()
+        return stencil.adjoint((-2.0 / len(y)) * resid) + float(reg_weight) * reg_gradient()
 
     return value, gradient
 
@@ -93,16 +88,16 @@ def coarse_objective(
     field: CoarseField, matches: MatchSet, affine: AffineTransform, reg_weight: float
 ) -> float:
     """Mean squared residual of matched points plus the smoothness penalty."""
-    y, xm = _match_targets(matches, affine)
-    return _coarse_loss(field.lattice, field.stride, y, xm, reg_weight)[0]
+    targets = _match_targets(matches, affine, field)
+    return _coarse_loss(field.lattice, *targets, reg_weight)[0]
 
 
 def coarse_gradient(
     field: CoarseField, matches: MatchSet, affine: AffineTransform, reg_weight: float
 ) -> np.ndarray:
     """Exact gradient of :func:`coarse_objective` w.r.t. every lattice component."""
-    y, xm = _match_targets(matches, affine)
-    return _coarse_loss(field.lattice, field.stride, y, xm, reg_weight)[1]()
+    targets = _match_targets(matches, affine, field)
+    return _coarse_loss(field.lattice, *targets, reg_weight)[1]()
 
 
 def optimize_coarse(
@@ -115,9 +110,10 @@ def optimize_coarse(
     """Gradient descent from the zero lattice with step halving on increase."""
     config = config or OptimizerConfig()
     start = CoarseField(stride=stride, lattice=np.zeros(lattice_dims(grid_dims, stride) + (3,)))
-    y, xm = _match_targets(matches, affine)
+    # The match points do not move during the descent, so one stencil serves every step.
+    targets = _match_targets(matches, affine, start)
     lattice = descend(
-        lambda lat: _coarse_loss(lat, start.stride, y, xm, config.reg_weight),
+        lambda lat: _coarse_loss(lat, *targets, config.reg_weight),
         start.lattice,
         config.step_size,
         config.iterations,

@@ -11,6 +11,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +21,6 @@ from .errors import InvalidCoordinate, ShapeMismatch
 
 # Interpolated feature vectors with a norm below this are masked to zero.
 MASK_NORM_EPS = 1e-8
-
-# Tolerance for the unit-norm feature invariant.
-UNIT_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,108 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _corner_setup(flat_pts: np.ndarray, dims: np.ndarray):
-    """Clamp points and split into base corner index and in-cell fraction."""
-    clamped = np.clip(flat_pts, 0.0, dims - 1.0)
-    base = np.floor(clamped).astype(np.int64)
-    base = np.clip(base, 0, np.maximum(dims - 2, 0))
-    frac = clamped - base
-    hi = np.minimum(base + 1, dims - 1)
-    return base, hi, frac
+def _as_field(field) -> np.ndarray:
+    """A scalar volume or channels-last field as a ``(D, H, W, C)`` float array."""
+    arr = np.asarray(field, dtype=np.float64)
+    if arr.ndim == 3:
+        arr = arr[..., None]
+    if arr.ndim != 4:
+        raise ShapeMismatch(f"field must be (D,H,W) or (D,H,W,C), got {arr.shape}")
+    return arr
+
+
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))  # (8, 3): (dz, dy, dx)
+
+
+class Stencil:
+    """The 8-corner trilinear stencil of a set of points on a ``(D, H, W)`` grid.
+
+    Points outside the grid are clamped to the boundary. ``index`` and
+    ``weights`` are ``(8, n)``: flat corner indices into the ``(D*H*W, C)``
+    view of a field and their weights, corners in ``(dz, dy, dx)`` order.
+    ``axis_weights[a]`` holds the low- and high-corner weights along axis
+    ``a``. Built once per coordinate set, the stencil serves sampling, the
+    vector-Jacobian product with respect to the points, and the adjoint
+    scatter onto the grid.
+    """
+
+    def __init__(self, points, dims):
+        self.dims = tuple(int(d) for d in dims)
+        grid = np.array(self.dims, dtype=np.int64)[:, None]
+        pts = _as_points(points)
+        self.shape = pts.shape[:-1]
+        axes = np.ascontiguousarray(pts.reshape(-1, 3).T)  # (3, n)
+        # Derivative of the clamped coordinate: zero outside the open interior.
+        self.interior = (axes > 0.0) & (axes < grid - 1.0)
+        clamped = np.clip(axes, 0.0, grid - 1.0)
+        base = np.minimum(clamped.astype(np.int64), np.maximum(grid - 2, 0))  # floor: clamped >= 0
+        frac = clamped - base
+        # The high corner is one step up each axis, or the low corner on an axis of size 1.
+        strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1])
+        corner_offsets = _CORNERS @ np.where(grid[:, 0] > 1, strides, 0)
+        self.index = strides @ base + corner_offsets[:, None]
+        self.axis_weights = np.stack([1.0 - frac, frac], axis=1)  # (3, 2, n)
+        wz, wy, wx = self.axis_weights
+        self.weights = (wz[:, None, None] * wy[None, :, None] * wx[None, None, :]).reshape(8, -1)
+
+    def _flat(self, field) -> np.ndarray:
+        arr = _as_field(field)
+        if arr.shape[:3] != self.dims:
+            raise ShapeMismatch(f"field grid {arr.shape[:3]} != stencil grid {self.dims}")
+        return arr.reshape(-1, arr.shape[3])
+
+    def sample(self, field) -> np.ndarray:
+        """Values of a scalar volume or channels-last field at the points.
+
+        Shaped like ``points[..., :-1]``, plus a channel axis for a vector field.
+        """
+        flat = self._flat(field)
+        vals = np.zeros((self.index.shape[1], flat.shape[1]))
+        for k in range(8):
+            corner = flat.take(self.index[k], axis=0)
+            corner *= self.weights[k][:, None]
+            vals += corner
+        return vals.reshape(self.shape + np.shape(field)[3:])
+
+    def vjp(self, field, g) -> np.ndarray:
+        """``d<g, sample(field)>/d(points)``, shaped like the points.
+
+        Each corner's values are dotted with ``g`` over the channels before the
+        weight derivatives apply, so the ``(n, C, 3)`` Jacobian is never formed.
+        The derivative is zero along any axis where a point is clamped (at or
+        outside the boundary), matching the piecewise-linear interpolant.
+        """
+        flat = self._flat(field)
+        g = np.asarray(g, dtype=np.float64).reshape(self.index.shape[1], flat.shape[1])
+        dots = np.empty(self.index.shape)
+        for k in range(8):
+            dots[k] = np.einsum("nc,nc->n", flat.take(self.index[k], axis=0), g)
+        # d(weight)/d(coordinate) is -1 for the low and +1 for the high corner
+        # along that axis, times the other two axes' weights.
+        d = dots.reshape(2, 2, 2, -1)
+        wz, wy, wx = self.axis_weights
+        grad = np.stack(
+            [
+                np.einsum("yn,xn,yxn->n", wy, wx, d[1] - d[0]),
+                np.einsum("zn,xn,zxn->n", wz, wx, d[:, 1] - d[:, 0]),
+                np.einsum("zn,yn,zyn->n", wz, wy, d[:, :, 1] - d[:, :, 0]),
+            ]
+        )
+        grad *= self.interior
+        return grad.T.reshape(self.shape + (3,))
+
+    def adjoint(self, g) -> np.ndarray:
+        """Transpose of :meth:`sample`: scatter ``g`` (shaped like the samples) onto the grid."""
+        g = np.asarray(g, dtype=np.float64)
+        channels = g.shape[len(self.shape):]
+        g = g.reshape(self.index.shape[1], math.prod(channels))
+        size = math.prod(self.dims)
+        out = np.empty((size, g.shape[1]))
+        for c in range(g.shape[1]):
+            out[:, c] = np.bincount(
+                self.index.ravel(), weights=(self.weights * g[:, c]).ravel(), minlength=size
+            )
+        return out.reshape(self.dims + channels)
 
 
 def trilinear_sample(field, points):
@@ -69,102 +162,32 @@ def trilinear_sample(field, points):
     array shaped like ``points[..., :-1]`` (plus a channel axis for vector
     fields).
     """
-    vals, _ = _trilinear(field, points, with_grad=False)
-    return vals
+    return Stencil(points, _as_field(field).shape[:3]).sample(field)
 
 
 def trilinear_sample_with_grad(field, points):
     """Like :func:`trilinear_sample` but also returns d(value)/d(coordinate).
 
-    The gradient is zero along any axis where the point is clamped (at or
-    outside the boundary), matching the piecewise-linear interpolant.
+    The gradient has shape ``points.shape`` for a scalar volume and
+    ``points.shape[:-1] + (C, 3)`` for a vector field; it is zero along any
+    axis where the point is clamped (at or outside the boundary).
     """
-    return _trilinear(field, points, with_grad=True)
-
-
-def _trilinear(field, points, with_grad: bool):
-    arr = np.asarray(field, dtype=np.float64)
-    scalar_field = arr.ndim == 3
-    if scalar_field:
-        arr = arr[..., None]
-    if arr.ndim != 4:
-        raise ShapeMismatch(f"field must be (D,H,W) or (D,H,W,C), got {arr.shape}")
-    dims = np.array(arr.shape[:3], dtype=np.int64)
-    pts = _as_points(points)
-    out_shape = pts.shape[:-1]
-    flat = pts.reshape(-1, 3)
-    n = flat.shape[0]
-    c = arr.shape[3]
-
-    base, hi, frac = _corner_setup(flat, dims)
-    # Derivative of the clamped coordinate: zero outside the open interior.
-    interior = (flat > 0.0) & (flat < dims - 1.0)
-
-    vals = np.zeros((n, c))
-    grads = np.zeros((n, c, 3)) if with_grad else None
-    w_axis = np.empty((n, 2, 3))
-    w_axis[:, 0, :] = 1.0 - frac
-    w_axis[:, 1, :] = frac
-    idx_axis = np.stack([base, hi], axis=1)  # (n, 2, 3)
-
-    for dz in (0, 1):
-        for dy in (0, 1):
-            for dx in (0, 1):
-                iz = idx_axis[:, dz, 0]
-                iy = idx_axis[:, dy, 1]
-                ix = idx_axis[:, dx, 2]
-                wz = w_axis[:, dz, 0]
-                wy = w_axis[:, dy, 1]
-                wx = w_axis[:, dx, 2]
-                fv = arr[iz, iy, ix]  # (n, c)
-                vals += (wz * wy * wx)[:, None] * fv
-                if with_grad:
-                    sz = 1.0 if dz else -1.0
-                    sy = 1.0 if dy else -1.0
-                    sx = 1.0 if dx else -1.0
-                    grads[:, :, 0] += (sz * wy * wx)[:, None] * fv
-                    grads[:, :, 1] += (wz * sy * wx)[:, None] * fv
-                    grads[:, :, 2] += (wz * wy * sx)[:, None] * fv
-
-    if with_grad:
-        grads *= interior[:, None, :]
-
-    if scalar_field:
-        vals = vals[:, 0].reshape(out_shape)
-        if with_grad:
-            grads = grads[:, 0, :].reshape(out_shape + (3,))
-    else:
-        vals = vals.reshape(out_shape + (c,))
-        if with_grad:
-            grads = grads.reshape(out_shape + (c, 3))
-    return vals, grads
+    arr = _as_field(field)
+    stencil = Stencil(points, arr.shape[:3])
+    ones = np.ones(stencil.shape)
+    grads = np.stack([stencil.vjp(arr[..., c], ones) for c in range(arr.shape[3])], axis=-2)
+    return stencil.sample(field), grads[..., 0, :] if np.ndim(field) == 3 else grads
 
 
 def trilinear_corners(points, dims):
     """Corner indices and weights of the trilinear stencil for each point.
 
     Returns ``(corners, weights)`` with shapes ``(N, 8, 3)`` int and
-    ``(N, 8)``; used to scatter adjoint contributions back onto a lattice.
+    ``(N, 8)``, corners in :class:`Stencil` order.
     """
-    dims = np.asarray(dims, dtype=np.int64)
-    pts = _as_points(points).reshape(-1, 3)
-    base, hi, frac = _corner_setup(pts, dims)
-    n = pts.shape[0]
-    corners = np.empty((n, 8, 3), dtype=np.int64)
-    weights = np.empty((n, 8))
-    k = 0
-    for dz in (0, 1):
-        for dy in (0, 1):
-            for dx in (0, 1):
-                corners[:, k, 0] = hi[:, 0] if dz else base[:, 0]
-                corners[:, k, 1] = hi[:, 1] if dy else base[:, 1]
-                corners[:, k, 2] = hi[:, 2] if dx else base[:, 2]
-                wz = frac[:, 0] if dz else 1.0 - frac[:, 0]
-                wy = frac[:, 1] if dy else 1.0 - frac[:, 1]
-                wx = frac[:, 2] if dx else 1.0 - frac[:, 2]
-                weights[:, k] = wz * wy * wx
-                k += 1
-    return corners, weights
+    stencil = Stencil(points, dims)
+    corners = np.stack(np.unravel_index(stencil.index.T, stencil.dims), axis=-1)
+    return corners, stencil.weights.T
 
 
 def identity_grid(dims) -> np.ndarray:
@@ -216,44 +239,6 @@ def normalize_features(vectors) -> np.ndarray:
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     out = np.where(norms < MASK_NORM_EPS, 0.0, v / np.where(norms == 0.0, 1.0, norms))
     return out
-
-
-def check_unit_norm(vectors, tol: float = UNIT_NORM_TOL) -> bool:
-    """True when every vector is unit norm within tol or the masked zero vector."""
-    v = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1)
-    return bool(np.all((np.abs(norms - 1.0) <= tol) | (norms == 0.0)))
-
-
-def resize_linear(field, target_dims) -> np.ndarray:
-    """Endpoint-aligned linear resize of a channels-last field to a new grid."""
-    arr = np.asarray(field, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ShapeMismatch(f"field must be (D,H,W,C), got {arr.shape}")
-    src = np.array(arr.shape[:3], dtype=np.float64)
-    tgt = np.array([int(d) for d in target_dims], dtype=np.float64)
-    if np.any(tgt < 1):
-        raise ShapeMismatch(f"invalid target dims {target_dims}")
-    scale = np.where(tgt > 1, (src - 1.0) / np.maximum(tgt - 1.0, 1.0), 0.0)
-    pts = identity_grid(target_dims) * scale
-    return trilinear_sample(arr, pts)
-
-
-def assemble_features(global_features, local_features) -> np.ndarray:
-    """Concatenate a global and a local feature map into one unit-norm map.
-
-    The global map is linearly resized onto the local grid; each half is
-    L2-normalized per voxel, concatenated along channels, and the result
-    is re-normalized so dot products stay true cosines in [-1, 1].
-    """
-    local = np.asarray(local_features, dtype=np.float64)
-    if local.ndim != 4:
-        raise ShapeMismatch(f"local features must be (D,H,W,C), got {local.shape}")
-    resized = resize_linear(global_features, local.shape[:3])
-    both = np.concatenate(
-        [normalize_features(resized), normalize_features(local)], axis=-1
-    )
-    return normalize_features(both)
 
 
 def warp_features(features, inverse_map) -> np.ndarray:

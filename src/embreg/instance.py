@@ -15,7 +15,8 @@ import numpy as np
 
 from .descent import descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
-from .grid import MASK_NORM_EPS, identity_grid, trilinear_sample_with_grad
+from .grid import MASK_NORM_EPS, Stencil, identity_grid
+from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .metrics import lncc_gradient, ncc_gradient
 from .transform import integrate_svf_with_tape, svf_backward
 
@@ -87,15 +88,16 @@ def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: InstanceCon
 def _loss(field, feats_m, feats_f, img_m, img_f, config):
     """Instance objective at ``field`` and a one-shot closure for its gradient.
 
-    The closure reuses this forward pass (SVF tape, sampled features and their
-    derivatives); the intensity correlation's gradient comes with its value.
+    The closure reuses this forward pass (SVF tape, sampled features and the
+    stencil of the warped grid, whose derivatives only the closure computes);
+    the intensity correlation's gradient comes with its value.
     """
     if config.parameterization == "svf":
         displacement, tape = integrate_svf_with_tape(field, config.svf_steps)
     else:
         displacement, tape = field, None
-    coords = identity_grid(field.shape[:3]) + displacement
-    raw, draw = trilinear_sample_with_grad(feats_m, coords)  # (...,C), (...,C,3)
+    stencil = Stencil(identity_grid(field.shape[:3]) + displacement, np.shape(feats_m)[:3])
+    raw = stencil.sample(feats_m)
 
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     masked = norms[..., 0] < MASK_NORM_EPS
@@ -106,7 +108,7 @@ def _loss(field, feats_m, feats_f, img_m, img_f, config):
     if config.intensity_term != "none":
         if img_m is None or img_f is None:
             raise ShapeMismatch("intensity term requested but intensities missing")
-        warped_img, dimg = trilinear_sample_with_grad(np.asarray(img_m, dtype=np.float64), coords)
+        warped_img = stencil.sample(img_m)
         if config.intensity_term == "ncc":
             corr, g_img = ncc_gradient(warped_img, img_f)
         else:
@@ -122,9 +124,9 @@ def _loss(field, feats_m, feats_f, img_m, img_f, config):
         proj = np.einsum("...c,...c->...", g_warped, warped)
         g_raw = (g_warped - proj[..., None] * warped) / safe
         g_raw = np.where(masked[..., None], 0.0, g_raw)
-        g_disp = np.einsum("...ca,...c->...a", draw, g_raw)
+        g_disp = stencil.vjp(feats_m, g_raw)
         if config.intensity_term != "none":
-            g_disp = g_disp + (-g_img)[..., None] * dimg
+            g_disp = g_disp + stencil.vjp(img_m, -g_img)
         return config.lambda_sim * g_disp
 
     def gradient() -> np.ndarray:

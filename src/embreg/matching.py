@@ -156,17 +156,24 @@ def save_matches(matches: MatchSet, path) -> None:
 
 def load_matches(path) -> MatchSet:
     moving, fixed, scores = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise ShapeMismatch(f"malformed match line: {line!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatch(f"match file is not UTF-8 text: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 7:
+            raise ShapeMismatch(f"malformed match line: {line!r}")
+        try:
             moving.append([int(p) for p in parts[0:3]])
             fixed.append([int(p) for p in parts[3:6]])
             scores.append(float(parts[6]))
+        except ValueError as exc:
+            raise ShapeMismatch(f"malformed match line: {line!r}") from exc
     return MatchSet(
         moving=np.array(moving, dtype=np.int64).reshape(-1, 3),
         fixed=np.array(fixed, dtype=np.int64).reshape(-1, 3),

@@ -9,7 +9,8 @@ import numpy as np
 
 from .affine import AffineTransform, apply_affine, invert_affine
 from .errors import ShapeMismatch
-from .grid import identity_grid, trilinear_corners, trilinear_sample, trilinear_sample_with_grad
+from .grid import Stencil, identity_grid, trilinear_sample
+from .grid import trilinear_corners, trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps these names here)
 
 
 @dataclass(frozen=True)
@@ -86,31 +87,19 @@ def svf_backward(grad_displacement, tape, steps: int) -> np.ndarray:
     """Adjoint of scaling and squaring: d(loss)/d(velocity).
 
     Each squaring ``u' = u + u(x + u(x))`` back-propagates through the
-    direct term, the sampled lattice values, and the spatial Jacobian of
-    the sampled field.
+    direct term, the spatial Jacobian of the sampled field at ``x + u(x)``,
+    and the sampled lattice values of ``u``. One stencil of the sample
+    points serves the last two; it is rebuilt from the tape per step rather
+    than kept on the tape, which would hold ``steps`` stencils at once.
     """
     g = np.asarray(grad_displacement, dtype=np.float64)
     dims = g.shape[:3]
-    grid = identity_grid(dims)
-    flat_grid = grid.reshape(-1, 3)
+    flat_grid = identity_grid(dims).reshape(-1, 3)
     for k in range(int(steps) - 1, -1, -1):
         u = tape[k]
-        pts = flat_grid + u.reshape(-1, 3)
-        vals, dvals = trilinear_sample_with_grad(u, pts)  # (V,3), (V,3,3)
         g_flat = g.reshape(-1, 3)
-        # direct term + chain through the sample location y = x + u(x)
-        g_new = g_flat + np.einsum("vc,vca->va", g_flat, dvals)
-        g_new = g_new.reshape(g.shape).copy()
-        # adjoint of gathering lattice values of u at y
-        corners, weights = trilinear_corners(pts, dims)
-        contrib = weights[:, :, None] * g_flat[:, None, :]  # (V, 8, 3)
-        flat_corners = corners.reshape(-1, 3)
-        np.add.at(
-            g_new,
-            (flat_corners[:, 0], flat_corners[:, 1], flat_corners[:, 2]),
-            contrib.reshape(-1, 3),
-        )
-        g = g_new
+        stencil = Stencil(flat_grid + u.reshape(-1, 3), dims)
+        g = (g_flat + stencil.vjp(u, g_flat)).reshape(g.shape) + stencil.adjoint(g_flat)
     return g / float(2 ** int(steps))
 
 

@@ -8,7 +8,7 @@ from embreg.affine import (
     fit_affine_points,
     invert_affine,
 )
-from embreg.errors import DegenerateMatches, ShapeMismatch, SingularAffine
+from embreg.errors import CorruptContainer, DegenerateMatches, ShapeMismatch, SingularAffine
 from embreg.matching import MatchSet
 
 
@@ -109,3 +109,19 @@ def test_json_round_trip():
 def test_from_json_rejects_wrong_length():
     with pytest.raises(ShapeMismatch):
         AffineTransform.from_json("[1, 2, 3]")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_matrix_validation_rejects_non_finite(value):
+    m = np.eye(4)
+    m[0, 0] = value
+    with pytest.raises(ShapeMismatch):
+        AffineTransform(m)
+
+
+@pytest.mark.parametrize(
+    "text", ["garbage", b"\xff\xfe[1]", '["1"' + ", 0" * 15 + "]", "[true" + ", 0" * 15 + "]"]
+)
+def test_from_json_rejects_non_json_or_non_numeric(text):
+    with pytest.raises(CorruptContainer):
+        AffineTransform.from_json(text)

@@ -365,3 +365,31 @@ def test_eval_malformed_transform_exits_3(tmp_path, manifest, affine, capsys):
     )
     assert rc == 3
     assert "malformed transform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"1 2 x 4 5 6 0.9\n", b"\xff1 2 3 4 5 6 0.9\n"])
+def test_affine_malformed_matches_exits_3(tmp_path, content, capsys):
+    matches = tmp_path / "matches.txt"
+    matches.write_bytes(content)
+    rc = main(["affine", "--matches", str(matches), "--out", str(tmp_path / "affine.json")])
+    assert rc == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "affine.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["coarse", "instance"])
+@pytest.mark.parametrize("content", [b"garbage", b"\xff\xfe", b'["a"' + b", 0" * 15 + b"]"])
+def test_stage_malformed_affine_exits_3(synth_pair, tmp_path, subcommand, content, capsys):
+    affine = tmp_path / "affine.json"
+    affine.write_bytes(content)
+    matches = tmp_path / "matches.txt"
+    matches.write_text("1 1 1 1 1 1 0.9\n")
+    inputs = {
+        "coarse": ["--matches", str(matches), "--fixed-features", str(synth_pair / "fixed/features.vol1")],
+        "instance": ["--moving-dir", str(synth_pair / "moving"), "--fixed-dir", str(synth_pair / "fixed")],
+    }[subcommand]
+    out = tmp_path / "out.vol1"
+    rc = main([subcommand, *inputs, "--affine", str(affine), "--out", str(out)])
+    assert rc == 3
+    assert "affine" in capsys.readouterr().err
+    assert not out.exists()

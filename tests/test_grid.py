@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embreg.errors import InvalidCoordinate, ShapeMismatch
 from embreg.grid import (
-    assemble_features,
+    Stencil,
     identity_grid,
     normalize_features,
-    resize_linear,
+    trilinear_corners,
     trilinear_sample,
+    trilinear_sample_with_grad,
     warp_features,
     warp_scalar,
 )
@@ -151,30 +154,86 @@ def test_warp_features_midpoint_of_orthogonal_vectors():
     assert np.dot(out, [0, 1]) == pytest.approx(1 / np.sqrt(2))
 
 
-def test_resize_linear_constant_channels_exact():
-    const = np.full((3, 3, 3, 2), 0.0)
-    const[..., 0] = 0.25
-    const[..., 1] = -1.5
-    out = resize_linear(const, (6, 5, 7))
-    np.testing.assert_allclose(out[..., 0], 0.25, atol=1e-12)
-    np.testing.assert_allclose(out[..., 1], -1.5, atol=1e-12)
+def _coordinate(d: int, smooth: bool):
+    """One coordinate on an axis of ``d`` voxels; past every face by default.
+
+    With ``smooth`` it stays at least 0.1 from every grid line and face (or
+    anywhere on an axis of size 1, which clamps to a constant), so the
+    interpolant is linear around it, including clamped coordinates outside.
+    """
+    if not smooth:
+        return st.floats(-2.0, d + 1.0)
+    if d == 1:
+        return st.floats(-2.0, 2.0)
+    inside = st.builds(lambda i, f: i + f, st.integers(0, d - 2), st.floats(0.1, 0.9))
+    return st.one_of(inside, st.floats(-2.0, -0.1), st.floats(d - 0.9, d + 1.0))
 
 
-def test_assemble_features_self_similarity_one():
-    rng = np.random.default_rng(9)
-    g = normalize_features(rng.normal(size=(4, 4, 4, 3)))
-    loc = normalize_features(rng.normal(size=(4, 4, 4, 5)))
-    out = assemble_features(g, loc)
-    norms = np.linalg.norm(out, axis=-1)
-    np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+@st.composite
+def stencil_cases(draw, smooth=False):
+    """A grid (axes of size 1 and 2 included), points on it, and a seed for field values."""
+    dims = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    channels = draw(st.sampled_from([None, 1, 3]))
+    n = draw(st.integers(1, 6))
+    coords = [[draw(_coordinate(d, smooth)) for d in dims] for _ in range(n)]
+    return dims, channels, np.array(coords), draw(st.integers(0, 2**32 - 1))
 
 
-def test_assemble_features_cosine_is_mean_of_halfwise_cosines():
-    rng = np.random.default_rng(10)
-    g = normalize_features(rng.normal(size=(2, 2, 2, 3)))
-    loc = normalize_features(rng.normal(size=(2, 2, 2, 5)))
-    out = assemble_features(g, loc)
-    a = out[0, 0, 0]
-    b = out[1, 1, 1]
-    want = 0.5 * (np.dot(g[0, 0, 0], g[1, 1, 1]) + np.dot(loc[0, 0, 0], loc[1, 1, 1]))
-    assert np.dot(a, b) == pytest.approx(want, abs=1e-12)
+def _random_field(rng, dims, channels):
+    return rng.normal(size=dims if channels is None else dims + (channels,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases())
+def test_stencil_adjoint_is_transpose_of_sample(case):
+    dims, channels, pts, seed = case
+    rng = np.random.default_rng(seed)
+    stencil = Stencil(pts, dims)
+    u = _random_field(rng, dims, channels)
+    g = rng.normal(size=stencil.sample(u).shape)
+    lhs = np.sum(stencil.sample(u) * g)
+    rhs = np.sum(u * stencil.adjoint(g))
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases(smooth=True))
+def test_stencil_vjp_matches_central_differences(case):
+    dims, channels, pts, seed = case
+    rng = np.random.default_rng(seed)
+    field = _random_field(rng, dims, channels)
+    stencil = Stencil(pts, dims)
+    g = rng.normal(size=stencil.sample(field).shape)
+    per_point = (lambda v: v) if channels is None else (lambda v: np.sum(v, axis=-1))
+    h = 1e-6
+    fd = np.empty_like(pts)
+    for a in range(3):
+        step = np.zeros(3)
+        step[a] = h
+        up = per_point(trilinear_sample(field, pts + step) * g)
+        down = per_point(trilinear_sample(field, pts - step) * g)
+        fd[:, a] = (up - down) / (2 * h)
+    got = stencil.vjp(field, g)
+    np.testing.assert_allclose(got, fd, atol=1e-7)
+    # The public Jacobian wrapper contracts to the same product.
+    _, jac = trilinear_sample_with_grad(field, pts)
+    contracted = jac * g[:, None] if channels is None else np.einsum("nca,nc->na", jac, g)
+    np.testing.assert_allclose(contracted, got, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases())
+def test_stencil_sample_matches_brute_force(case):
+    dims, _, pts, seed = case
+    vol = np.random.default_rng(seed).normal(size=dims)
+    got = Stencil(pts, dims).sample(vol)
+    np.testing.assert_allclose(got, [brute_force_trilinear(vol, p) for p in pts], atol=1e-12)
+    corners, weights = trilinear_corners(pts, dims)
+    by_corners = np.sum(weights * vol[corners[..., 0], corners[..., 1], corners[..., 2]], axis=1)
+    np.testing.assert_allclose(by_corners, got, atol=1e-12)
+
+
+def test_stencil_rejects_field_on_another_grid():
+    stencil = Stencil(np.zeros((2, 3)), (3, 3, 3))
+    with pytest.raises(ShapeMismatch):
+        stencil.sample(np.zeros((3, 3, 4)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from embreg import matching
-from embreg.errors import DimensionMismatch, InvalidStep
+from embreg.errors import DimensionMismatch, InvalidStep, ShapeMismatch
 from embreg.grid import normalize_features
 from embreg.matching import (
     MatchSet,
@@ -268,3 +268,13 @@ def test_match_serialization_round_trip(tmp_path):
     np.testing.assert_array_equal(back.moving, ms.moving)
     np.testing.assert_array_equal(back.fixed, ms.fixed)
     np.testing.assert_allclose(back.scores, ms.scores, rtol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "content", [b"1 2 x 4 5 6 0.9\n", b"1 2 3 4 5 6 high\n", b"\xff1 2 3 4 5 6 0.9\n"]
+)
+def test_load_matches_rejects_malformed_text(tmp_path, content):
+    path = tmp_path / "matches.txt"
+    path.write_bytes(content)
+    with pytest.raises(ShapeMismatch):
+        load_matches(path)
