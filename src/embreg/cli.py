@@ -17,7 +17,7 @@ from .bundle import Bundle
 from .coarse import CoarseField, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import read_vol1, write_vol1
-from .errors import CorruptContainer, NumericalDivergence, RegistrationError
+from .errors import CorruptContainer, NumericalDivergence, RegistrationError, ShapeMismatch
 from .grid import warp_labels
 from .matching import load_matches, save_matches
 from .metrics import RegistrationReport, dice, landmark_error
@@ -202,6 +202,11 @@ def cmd_eval(args) -> int:
     report.folding_fraction = folding_fraction(jacobian_determinant(final_map))
     if args.gt_map:
         gt = read_vol1(args.gt_map).values
+        if gt.shape != fixed_labels.shape + (3,):
+            raise ShapeMismatch(
+                f"{args.gt_map}: ground-truth map {gt.shape} must be (D,H,W,3) on the "
+                f"fixed labels' grid {fixed_labels.shape}"
+            )
         from .grid import trilinear_sample
         from .matching import select_points
 

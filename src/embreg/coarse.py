@@ -59,6 +59,8 @@ class OptimizerConfig:
 
 
 def lattice_dims(grid_dims, stride: int) -> tuple[int, int, int]:
+    if int(stride) < 1:
+        raise ShapeMismatch(f"stride must be >= 1, got {stride}")
     return tuple(int(math.ceil(d / stride)) for d in grid_dims)
 
 

@@ -61,6 +61,40 @@ def _as_field(field) -> np.ndarray:
     return arr
 
 
+# Bytes of float64 ``(rows, C)`` values per row block in ``Stencil.sample``,
+# ``Stencil.vjp``, :func:`trilinear_sample` and :func:`normalize_rows` (2048
+# rows at 16 channels), so a block's temporaries stay in a per-core L2 cache
+# instead of streaming whole-grid arrays, and their size does not grow with the grid.
+_GATHER_BYTES = 256 << 10
+
+
+def row_blocks(rows: int, channels: int) -> list[slice]:
+    """Slices of at most ``_GATHER_BYTES`` of float64 ``(rows, channels)`` values."""
+    step = max(1, _GATHER_BYTES // (8 * max(channels, 1)))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def normalize_rows(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of a float64 ``(n, C)`` array to unit norm, in place.
+
+    Rows whose norm is below ``MASK_NORM_EPS`` become masked zeros. Returns
+    ``(safe, masked)``: each row's norm as an ``(n, 1)`` column, 1 where it
+    is 0, and the ``(n,)`` masked rows. Works one :func:`row_blocks` block
+    at a time, with the same per-row arithmetic as ``np.linalg.norm``.
+    """
+    safe = np.empty((flat.shape[0], 1))
+    masked = np.empty(flat.shape[0], dtype=bool)
+    for block in row_blocks(*flat.shape):
+        rows = flat[block]
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
+        masked[block] = norms[:, 0] < MASK_NORM_EPS
+        norms[norms == 0.0] = 1.0
+        rows /= norms
+        rows[masked[block]] = 0.0
+        safe[block] = norms
+    return safe, masked
+
+
 _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))  # (8, 3): (dz, dy, dx)
 
 
@@ -81,19 +115,27 @@ class Stencil:
         grid = np.array(self.dims, dtype=np.int64)[:, None]
         pts = _as_points(points)
         self.shape = pts.shape[:-1]
-        axes = np.ascontiguousarray(pts.reshape(-1, 3).T)  # (3, n)
+        # (3, n) coordinates; a copy, worked on in place below.
+        axes = pts.reshape(-1, 3).T.copy()
         # Derivative of the clamped coordinate: zero outside the open interior.
-        self.interior = (axes > 0.0) & (axes < grid - 1.0)
-        clamped = np.clip(axes, 0.0, grid - 1.0)
-        base = np.minimum(clamped.astype(np.int64), np.maximum(grid - 2, 0))  # floor: clamped >= 0
-        frac = clamped - base
+        self.interior = axes > 0.0
+        self.interior &= axes < grid - 1.0
+        clamped = np.clip(axes, 0.0, grid - 1.0, out=axes)
+        base = clamped.astype(np.int64)  # floor: clamped >= 0
+        np.minimum(base, np.maximum(grid - 2, 0), out=base)
+        frac = np.subtract(clamped, base, out=clamped)
         # The high corner is one step up each axis, or the low corner on an axis of size 1.
         strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1])
         corner_offsets = _CORNERS @ np.where(grid[:, 0] > 1, strides, 0)
         self.index = strides @ base + corner_offsets[:, None]
-        self.axis_weights = np.stack([1.0 - frac, frac], axis=1)  # (3, 2, n)
+        n = frac.shape[1]
+        self.axis_weights = np.empty((3, 2, n))  # (axis, low/high, n)
+        np.subtract(1.0, frac, out=self.axis_weights[:, 0])
+        self.axis_weights[:, 1] = frac
         wz, wy, wx = self.axis_weights
-        self.weights = (wz[:, None, None] * wy[None, :, None] * wx[None, None, :]).reshape(8, -1)
+        weights = np.empty((2, 2, 2, n))
+        np.multiply(wz[:, None, None] * wy[None, :, None], wx[None, None, :], out=weights)
+        self.weights = weights.reshape(8, n)
 
     def _flat(self, field) -> np.ndarray:
         arr = _as_field(field)
@@ -108,10 +150,12 @@ class Stencil:
         """
         flat = self._flat(field)
         vals = np.zeros((self.index.shape[1], flat.shape[1]))
-        for k in range(8):
-            corner = flat.take(self.index[k], axis=0)
-            corner *= self.weights[k][:, None]
-            vals += corner
+        for block in row_blocks(self.index.shape[1], flat.shape[1]):
+            out = vals[block]
+            for k in range(8):
+                corner = flat.take(self.index[k, block], axis=0)
+                corner *= self.weights[k, block, None]
+                out += corner
         return vals.reshape(self.shape + np.shape(field)[3:])
 
     def vjp(self, field, g) -> np.ndarray:
@@ -121,12 +165,20 @@ class Stencil:
         weight derivatives apply, so the ``(n, C, 3)`` Jacobian is never formed.
         The derivative is zero along any axis where a point is clamped (at or
         outside the boundary), matching the piecewise-linear interpolant.
+        ``g`` is shaped like the samples, or is a function that returns its
+        ``(m, C)`` rows for a slice of points, called once per
+        :func:`row_blocks` block, so the caller never holds all of it.
         """
         flat = self._flat(field)
-        g = np.asarray(g, dtype=np.float64).reshape(self.index.shape[1], flat.shape[1])
+        if not callable(g):
+            g_rows = np.asarray(g, dtype=np.float64).reshape(self.index.shape[1], flat.shape[1])
+            g = g_rows.__getitem__
         dots = np.empty(self.index.shape)
-        for k in range(8):
-            dots[k] = np.einsum("nc,nc->n", flat.take(self.index[k], axis=0), g)
+        for block in row_blocks(self.index.shape[1], flat.shape[1]):
+            g_block = g(block)
+            for k in range(8):
+                corner = flat.take(self.index[k, block], axis=0)
+                dots[k, block] = np.einsum("nc,nc->n", corner, g_block)
         # d(weight)/d(coordinate) is -1 for the low and +1 for the high corner
         # along that axis, times the other two axes' weights.
         d = dots.reshape(2, 2, 2, -1)
@@ -160,9 +212,16 @@ def trilinear_sample(field, points):
 
     Coordinates outside the grid are clamped to the boundary. Returns an
     array shaped like ``points[..., :-1]`` (plus a channel axis for vector
-    fields).
+    fields). Builds one :class:`Stencil` per :func:`row_blocks` block of
+    points, so a one-off sample never holds a whole-grid stencil.
     """
-    return Stencil(points, _as_field(field).shape[:3]).sample(field)
+    arr = _as_field(field)
+    pts = _as_points(points)
+    rows = pts.reshape(-1, 3)
+    out = np.empty((len(rows), arr.shape[3]))
+    for block in row_blocks(len(rows), arr.shape[3]):
+        out[block] = Stencil(rows[block], arr.shape[:3]).sample(arr)
+    return out.reshape(pts.shape[:-1] + np.shape(field)[3:])
 
 
 def trilinear_sample_with_grad(field, points):
@@ -235,9 +294,9 @@ def warp_labels(labels, inverse_map) -> np.ndarray:
 
 def normalize_features(vectors) -> np.ndarray:
     """Scale each per-voxel vector to unit norm; near-zero vectors become masked zeros."""
-    v = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    out = np.where(norms < MASK_NORM_EPS, 0.0, v / np.where(norms == 0.0, 1.0, norms))
+    out = np.array(vectors, dtype=np.float64)
+    if out.size:
+        normalize_rows(out.reshape(-1, out.shape[-1]))
     return out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .descent import descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
-from .grid import MASK_NORM_EPS, Stencil, identity_grid
+from .grid import Stencil, identity_grid, normalize_rows
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .metrics import lncc_gradient, ncc_gradient
 from .transform import integrate_svf_with_tape, svf_backward
@@ -48,23 +48,41 @@ class InstanceConfig:
 
 def sam_loss(warped_features, fixed_features) -> float:
     """Mean of ``1 - similarity`` over voxels unmasked on both sides."""
-    return _sam_terms(warped_features, fixed_features)[0]
+    w = np.asarray(warped_features, dtype=np.float64)
+    f = np.asarray(fixed_features, dtype=np.float64)
+    return _sam_terms(w, _unmasked(w), f, _unmasked(f))[0]
 
 
-def _sam_terms(warped, fixed):
-    w = np.asarray(warped, dtype=np.float64)
-    f = np.asarray(fixed, dtype=np.float64)
-    if w.shape != f.shape:
-        raise ShapeMismatch(f"feature maps differ: {w.shape} vs {f.shape}")
-    wn = np.linalg.norm(w, axis=-1)
-    fn = np.linalg.norm(f, axis=-1)
-    unmasked = (wn > 0.5) & (fn > 0.5)
+def _unmasked(features) -> np.ndarray:
+    """Voxels whose feature vector is unit rather than masked to zero."""
+    return np.linalg.norm(features, axis=-1) > 0.5
+
+
+def _sam_terms(warped, warped_unmasked, fixed, fixed_unmasked):
+    """Feature loss and a closure giving row blocks of its gradient.
+
+    ``warped_unmasked`` and ``fixed_unmasked`` are both sides' :func:`_unmasked` masks.
+    """
+    if warped.shape != fixed.shape:
+        raise ShapeMismatch(f"feature maps differ: {warped.shape} vs {fixed.shape}")
+    unmasked = warped_unmasked & fixed_unmasked
     n = int(np.count_nonzero(unmasked))
     if n == 0:
         raise EmptyOverlap("all voxels masked in feature loss")
-    sims = np.einsum("...c,...c->...", w, f)
+    sims = np.einsum("...c,...c->...", warped, fixed)
     value = float(np.sum((1.0 - sims)[unmasked]) / n)
-    return value, lambda: np.where(unmasked[..., None], -f / n, 0.0)
+
+    fixed_rows = fixed.reshape(-1, fixed.shape[-1])
+    unmasked_rows = unmasked.reshape(-1)
+
+    def gradient(block) -> np.ndarray:
+        """Rows ``block`` of the gradient w.r.t. the ``(n, C)`` warped rows."""
+        g = -fixed_rows[block]
+        g /= n
+        g[~unmasked_rows[block]] = 0.0
+        return g
+
+    return value, gradient
 
 
 def reg_loss(field) -> float:
@@ -77,33 +95,43 @@ def reg_loss(field) -> float:
 
 def instance_objective(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> float:
     """Weighted sum of similarity losses on the warp plus smoothness on the field."""
-    return _loss(np.asarray(field, dtype=np.float64), feats_m, feats_f, img_m, img_f, config)[0]
+    field = np.asarray(field, dtype=np.float64)
+    return _loss(field, feats_m, *_fixed_side(feats_f), img_m, img_f, config)[0]
 
 
 def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> np.ndarray:
     """Analytic gradient of :func:`instance_objective` w.r.t. the field."""
-    return _loss(np.asarray(field, dtype=np.float64), feats_m, feats_f, img_m, img_f, config)[1]()
+    field = np.asarray(field, dtype=np.float64)
+    return _loss(field, feats_m, *_fixed_side(feats_f), img_m, img_f, config)[1]()
 
 
-def _loss(field, feats_m, feats_f, img_m, img_f, config):
+def _fixed_side(feats_f):
+    """The fixed features as float64 and their :func:`_unmasked` mask, constant over a descent."""
+    f = np.asarray(feats_f, dtype=np.float64)
+    return f, _unmasked(f)
+
+
+def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
     """Instance objective at ``field`` and a one-shot closure for its gradient.
 
     The closure reuses this forward pass (SVF tape, sampled features and the
     stencil of the warped grid, whose derivatives only the closure computes);
-    the intensity correlation's gradient comes with its value.
+    the intensity correlation's gradient comes with its value. ``feats_f`` and
+    ``fixed_unmasked`` come from :func:`_fixed_side`.
     """
     if config.parameterization == "svf":
         displacement, tape = integrate_svf_with_tape(field, config.svf_steps)
     else:
         displacement, tape = field, None
     stencil = Stencil(identity_grid(field.shape[:3]) + displacement, np.shape(feats_m)[:3])
-    raw = stencil.sample(feats_m)
-
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    masked = norms[..., 0] < MASK_NORM_EPS
-    safe = np.where(norms == 0.0, 1.0, norms)
-    warped = np.where(masked[..., None], 0.0, raw / safe)
-    sim_value, sam_gradient = _sam_terms(warped, feats_f)
+    # Sampled, then normalized in place one row block at a time.
+    warped = stencil.sample(feats_m)
+    warped_rows = warped.reshape(-1, warped.shape[-1])
+    safe, masked = normalize_rows(warped_rows)
+    # The warped vectors are unit or zero, so ``~masked`` is their _unmasked mask.
+    sim_value, sam_gradient = _sam_terms(
+        warped, ~masked.reshape(warped.shape[:-1]), feats_f, fixed_unmasked
+    )
 
     if config.intensity_term != "none":
         if img_m is None or img_f is None:
@@ -119,11 +147,15 @@ def _loss(field, feats_m, feats_f, img_m, img_f, config):
     value = config.lambda_sim * sim_value + config.lambda_reg * reg_value
 
     def similarity_gradient() -> np.ndarray:
-        g_warped = sam_gradient()
-        # back through per-voxel re-normalization: (I - s s^T) / |raw|
-        proj = np.einsum("...c,...c->...", g_warped, warped)
-        g_raw = (g_warped - proj[..., None] * warped) / safe
-        g_raw = np.where(masked[..., None], 0.0, g_raw)
+        def g_raw(block):
+            # back through per-voxel re-normalization: (I - s s^T) / |raw|
+            g = sam_gradient(block)
+            w = warped_rows[block]
+            g -= np.einsum("nc,nc->n", g, w)[:, None] * w
+            g /= safe[block]
+            g[masked[block]] = 0.0
+            return g
+
         g_disp = stencil.vjp(feats_m, g_raw)
         if config.intensity_term != "none":
             g_disp = g_disp + stencil.vjp(img_m, -g_img)
@@ -153,8 +185,9 @@ def optimize_instance(
     field = np.array(init, dtype=np.float64)
     if field.ndim != 4 or field.shape[-1] != 3:
         raise ShapeMismatch(f"init field must be (D,H,W,3), got {field.shape}")
+    fixed = _fixed_side(feats_f)
     field = descend(
-        lambda f: _loss(f, feats_m, feats_f, img_m, img_f, config),
+        lambda f: _loss(f, feats_m, *fixed, img_m, img_f, config),
         field,
         config.step_size,
         config.iterations,

@@ -8,6 +8,7 @@ then a similarity threshold removes low-confidence pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,8 @@ def select_points(dims, step: int) -> np.ndarray:
     """
     if int(step) < 1:
         raise InvalidStep(f"step must be >= 1, got {step}")
+    if any(int(d) < 1 for d in dims):
+        raise ShapeMismatch(f"cannot place points on an empty grid {tuple(dims)}")
     step = int(step)
     off = step // 2
     axes = [np.arange(min(off, d - 1), d, step, dtype=np.int64) for d in dims]
@@ -87,6 +90,8 @@ def find_points(keys, feat_key, feat_query) -> np.ndarray:
         raise DimensionMismatch(
             f"channel counts differ: {fk.shape[-1]} vs {fq.shape[-1]}"
         )
+    if 0 in fk.shape or 0 in fq.shape:
+        raise ShapeMismatch(f"feature maps must not be empty: {fk.shape}, {fq.shape}")
     keys = np.asarray(keys, dtype=np.int64)
     key_vecs = fk[keys[:, 0], keys[:, 1], keys[:, 2]]  # (N, C)
     dims = fq.shape[:3]
@@ -99,6 +104,28 @@ def find_points(keys, feat_key, feat_query) -> np.ndarray:
     return np.stack(np.unravel_index(flat_idx, dims), axis=-1).astype(np.int64)
 
 
+def _memo_search(feat_key, feat_query):
+    """:func:`find_points` from ``feat_key`` into ``feat_query``, searching each key voxel once.
+
+    ``best[v]`` holds the flat query index matched to flat key voxel ``v``, or
+    -1 while ``v`` has not been searched; each call searches only the unique
+    keys not seen before and reads the rest from ``best``.
+    """
+    key_dims, query_dims = feat_key.shape[:3], feat_query.shape[:3]
+    best = np.full(math.prod(key_dims), -1, dtype=np.int64)
+
+    def search(keys):
+        flat = np.ravel_multi_index(keys.T, key_dims)
+        todo = np.unique(flat[best[flat] < 0])
+        if todo.size:
+            new_keys = np.stack(np.unravel_index(todo, key_dims), axis=-1)
+            found = find_points(new_keys, feat_key, feat_query)
+            best[todo] = np.ravel_multi_index(found.T, query_dims)
+        return np.stack(np.unravel_index(best[flat], query_dims), axis=-1)
+
+    return search
+
+
 def sscc(feat_moving, feat_fixed, step: int = 4, iterations: int = 5) -> MatchSet:
     """Stable sampling via cycle consistency.
 
@@ -108,8 +135,10 @@ def sscc(feat_moving, feat_fixed, step: int = 4, iterations: int = 5) -> MatchSe
     the previous search in the same direction returned (the starting
     lattice counts as the previous backward result): every later search
     would get the same input, so the result is identical to running all
-    ``iterations`` rounds. Duplicate ``(moving, fixed)`` pairs are
-    collapsed to one, keeping first-occurrence order.
+    ``iterations`` rounds. A key's match depends on the key alone, so each
+    voxel is searched at most once per direction and later rounds read its
+    match from a per-direction lookup. Duplicate ``(moving, fixed)`` pairs
+    are collapsed to one, keeping first-occurrence order.
     """
     if int(iterations) < 1:
         raise InvalidStep(f"iterations must be >= 1, got {iterations}")
@@ -117,12 +146,14 @@ def sscc(feat_moving, feat_fixed, step: int = 4, iterations: int = 5) -> MatchSe
     ff = np.asarray(feat_fixed, dtype=np.float64)
     x_m = select_points(fm.shape[:3], step)
     x_f = None
+    forward = _memo_search(fm, ff)
+    backward = _memo_search(ff, fm)
     for _ in range(int(iterations)):
-        fwd = find_points(x_m, fm, ff)
+        fwd = forward(x_m)
         if x_f is not None and np.array_equal(fwd, x_f):
             break
         x_f = fwd
-        back = find_points(x_f, ff, fm)
+        back = backward(x_f)
         if np.array_equal(back, x_m):
             break
         x_m = back

@@ -393,3 +393,76 @@ def test_stage_malformed_affine_exits_3(synth_pair, tmp_path, subcommand, conten
     assert rc == 3
     assert "affine" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stride", ["0", "-2"])
+def test_register_coarse_stride_below_one_exits_3(synth_pair, tmp_path, stride, capsys):
+    rc = main(
+        [
+            "register",
+            "--moving-dir",
+            str(synth_pair / "moving"),
+            "--fixed-dir",
+            str(synth_pair / "fixed"),
+            "--out",
+            str(tmp_path / "reg"),
+            "--set",
+            f"coarse_stride={stride}",
+        ]
+    )
+    assert rc == 3
+    assert "stride must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "empty_sides, shape",
+    [(("moving",), (0, 4, 4, 8)), (("fixed",), (4, 0, 4, 8)), (("moving", "fixed"), (4, 4, 4, 0))],
+)
+def test_match_empty_feature_map_exits_3(synth_pair, tmp_path, empty_sides, shape, capsys):
+    empty = tmp_path / "empty.vol1"
+    write_vol1(empty, np.zeros(shape))
+    features = {side: str(synth_pair / side / "features.vol1") for side in ("moving", "fixed")}
+    features.update({side: str(empty) for side in empty_sides})
+    out = tmp_path / "m.txt"
+    rc = main(
+        [
+            "match",
+            "--moving-features",
+            features["moving"],
+            "--fixed-features",
+            features["fixed"],
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gt_shape", [(6, 6, 6, 3), (14, 14, 14, 1)])
+def test_eval_gt_map_on_another_grid_exits_3(synth_pair, tmp_path, gt_shape, capsys):
+    from embreg.affine import AffineTransform
+
+    (tmp_path / "affine.json").write_text(AffineTransform.identity().to_json())
+    (tmp_path / "transform.json").write_text(json.dumps({"affine": "affine.json"}))
+    write_vol1(tmp_path / "gt_map.vol1", np.zeros(gt_shape))
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            str(synth_pair / "moving/labels.vol1"),
+            "--fixed-labels",
+            str(synth_pair / "fixed/labels.vol1"),
+            "--gt-map",
+            str(tmp_path / "gt_map.vol1"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "ground-truth map" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embreg import grid
 from embreg.errors import InvalidCoordinate, ShapeMismatch
 from embreg.grid import (
+    MASK_NORM_EPS,
     Stencil,
     identity_grid,
     normalize_features,
+    normalize_rows,
+    row_blocks,
     trilinear_corners,
     trilinear_sample,
     trilinear_sample_with_grad,
@@ -237,3 +241,81 @@ def test_stencil_rejects_field_on_another_grid():
     stencil = Stencil(np.zeros((2, 3)), (3, 3, 3))
     with pytest.raises(ShapeMismatch):
         stencil.sample(np.zeros((3, 3, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases(), st.integers(1, 7))
+def test_stencil_point_blocks_are_byte_identical(case, block):
+    dims, channels, pts, seed = case
+    rng = np.random.default_rng(seed)
+    # Every voxel, jittered past the faces, after the drawn points, so blocks of
+    # `block` points end mid-grid; at the default block size all fit in one.
+    jittered = identity_grid(dims) + rng.uniform(-1.5, 1.5, dims + (3,))
+    stencil = Stencil(np.concatenate([pts, jittered.reshape(-1, 3)]), dims)
+    field = _random_field(rng, dims, channels)
+    g = rng.normal(size=stencil.sample(field).shape)
+    whole = stencil.sample(field), stencil.vjp(field, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_GATHER_BYTES", 8 * (channels or 1) * block)
+        blocked = stencil.sample(field), stencil.vjp(field, g)
+    for a, b in zip(whole, blocked):
+        assert a.tobytes() == b.tobytes()
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases(), st.integers(1, 7))
+def test_trilinear_sample_point_blocks_are_byte_identical(case, block):
+    dims, channels, pts, seed = case
+    rng = np.random.default_rng(seed)
+    field = _random_field(rng, dims, channels)
+    jittered = identity_grid(dims) + rng.uniform(-1.5, 1.5, dims + (3,))
+    kept = pts.copy(), jittered.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_GATHER_BYTES", 8 * (channels or 1) * block)
+        blocked = trilinear_sample(field, pts), trilinear_sample(field, jittered)
+    whole = Stencil(pts, dims).sample(field), Stencil(jittered, dims).sample(field)
+    for a, b in zip(whole, blocked):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    # Stencil works on its own copy of the points.
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, (pts, jittered)))
+
+def test_stencil_vjp_takes_cotangent_rows_from_a_function():
+    rng = np.random.default_rng(11)
+    dims = (4, 5, 3)
+    stencil = Stencil(identity_grid(dims) + rng.uniform(-1.5, 1.5, dims + (3,)), dims)
+    field = rng.normal(size=dims + (6,))
+    g = rng.normal(size=dims + (6,))
+    asked = []
+
+    def g_rows(block):
+        asked.append(block)
+        return g.reshape(-1, 6)[block].copy()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_GATHER_BYTES", 8 * 6 * 7)
+        got = stencil.vjp(field, g_rows)
+        assert asked == row_blocks(60, 6)
+        assert len(asked) == 9
+    assert got.tobytes() == stencil.vjp(field, g).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 6), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_normalize_rows_matches_linalg_norm_at_any_block_size(rows, channels, block, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(rows, channels))
+    v[rng.random(rows) < 0.3] *= 1e-9  # some rows below the mask threshold
+    v[rng.random(rows) < 0.1] = 0.0
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    want = np.where(norms < MASK_NORM_EPS, 0.0, v / safe)
+    got = v.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_GATHER_BYTES", 8 * channels * block)
+        got_safe, got_masked = normalize_rows(got)
+    assert got.tobytes() == want.tobytes()
+    assert got_safe.tobytes() == safe.tobytes()
+    assert np.array_equal(got_masked, norms[:, 0] < MASK_NORM_EPS)
+    assert normalize_features(v.reshape(1, rows, 1, channels)).tobytes() == want.tobytes()

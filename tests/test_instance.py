@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from embreg import grid
 from embreg.errors import EmptyOverlap, ShapeMismatch
 from embreg.grid import normalize_features, warp_features
 from embreg.instance import (
@@ -118,6 +119,28 @@ def test_gradient_matches_finite_differences_svf():
     fd = fd_gradient(field, (feats_m, feats_f, None, None), config, idxs)
     for idx, want in fd.items():
         assert grad[idx] == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("parameterization", ["displacement", "svf"])
+def test_loss_and_gradient_do_not_depend_on_row_blocks(parameterization):
+    rng = np.random.default_rng(9)
+    dims = (5, 6, 4)
+    feats_m = random_features(rng, dims, 6)
+    feats_m[1, 2] = 0.0  # masked on both sides at some voxels
+    feats_f = random_features(rng, dims, 6)
+    feats_f[3] = 0.0
+    img_m, img_f = rng.normal(size=dims), rng.normal(size=dims)
+    config = InstanceConfig(
+        lambda_sim=0.8, lambda_reg=0.6, intensity_term="ncc", parameterization=parameterization
+    )
+    field = rng.normal(scale=0.5, size=dims + (3,))
+    args = (field, feats_m, feats_f, img_m, img_f, config)
+    whole = instance_objective(*args), instance_gradient(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_GATHER_BYTES", 8 * 6 * 7)  # 7 points a block, 18 blocks
+        blocked = instance_objective(*args), instance_gradient(*args)
+    assert whole[0] == blocked[0]
+    assert whole[1].tobytes() == blocked[1].tobytes()
 
 
 def test_optimize_reduces_objective_and_recovers_small_shift():

@@ -278,3 +278,33 @@ def test_load_matches_rejects_malformed_text(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(ShapeMismatch):
         load_matches(path)
+
+
+@pytest.mark.parametrize("case", ["random-1", "random-2", "random-3", "planted", "no-new-keys"])
+def test_sscc_searches_each_voxel_once_per_direction(monkeypatch, case):
+    if case == "planted":
+        fm, ff = planted_ambiguity()
+    elif case == "no-new-keys":
+        # The fourth search of the loop gets only keys searched before, so it is skipped.
+        fm = distinct_features((5, 5, 5), 2, seed=1010)
+        ff = distinct_features((5, 5, 5), 2, seed=5010)
+    else:
+        seed = int(case.split("-")[1])
+        fm = distinct_features((6, 7, 5), 3, seed=30 + seed)
+        ff = distinct_features((6, 7, 5), 3, seed=40 + seed)
+    searched = {"forward": [], "backward": []}
+
+    def recording(keys, feat_key, feat_query):
+        assert len(keys) > 0  # a round with no new keys makes no call
+        direction = "forward" if feat_key is fm else "backward"
+        searched[direction].extend(map(tuple, keys))
+        return find_points(keys, feat_key, feat_query)
+
+    monkeypatch.setattr(matching, "find_points", recording)
+    ms = sscc(fm, ff, step=2, iterations=5)
+    for keys in searched.values():
+        assert len(keys) == len(set(keys))
+    moving, fixed, scores = sscc_all_rounds(fm, ff, 2, 5)
+    np.testing.assert_array_equal(ms.moving, moving)
+    np.testing.assert_array_equal(ms.fixed, fixed)
+    np.testing.assert_array_equal(ms.scores, scores)
