@@ -16,7 +16,7 @@ from .affine import AffineTransform, fit_affine
 from .bundle import Bundle
 from .coarse import CoarseField, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
-from .container import read_vol1, write_vol1
+from .container import open_atomic, read_vol1, write_vol1
 from .errors import CorruptContainer, NumericalDivergence, RegistrationError, ShapeMismatch
 from .grid import warp_labels
 from .matching import load_matches, save_matches
@@ -41,6 +41,11 @@ def _config_from_args(args) -> PipelineConfig:
     config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     apply_overrides(config, getattr(args, "set", None))
     return config
+
+
+def _write_text(path, text: str) -> None:
+    with open_atomic(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _load_bundle(directory: Path) -> Bundle:
@@ -85,7 +90,8 @@ def cmd_synth(args) -> int:
     _write_bundle(out / "moving", moving)
     _write_bundle(out / "fixed", fixed)
     write_vol1(out / "gt_map.vol1", gt_map)
-    (out / "manifest.json").write_text(
+    _write_text(
+        out / "manifest.json",
         json.dumps(
             {
                 "seed": spec.seed,
@@ -95,7 +101,7 @@ def cmd_synth(args) -> int:
                 "gt_map": "gt_map.vol1",
             },
             indent=2,
-        )
+        ),
     )
     print(f"wrote synthetic pair to {out}")
     return 0
@@ -115,7 +121,7 @@ def cmd_affine(args) -> int:
     config = _config_from_args(args)
     matches = load_matches(args.matches)
     transform = fit_affine(matches, scale=config.feature_scale)
-    Path(args.out).write_text(transform.to_json())
+    _write_text(args.out, transform.to_json())
     print(f"affine -> {args.out}")
     return 0
 
@@ -163,7 +169,7 @@ def cmd_register(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "affine.json").write_text(transform.affine.to_json())
+    _write_text(out / "affine.json", transform.affine.to_json())
     manifest = {"affine": "affine.json"}
     if transform.coarse is not None:
         write_vol1(out / "coarse_dense.vol1", transform.coarse)
@@ -171,8 +177,8 @@ def cmd_register(args) -> int:
     if transform.dense is not None:
         write_vol1(out / "dense.vol1", transform.dense)
         manifest["dense"] = "dense.vol1"
-    (out / "transform.json").write_text(json.dumps(manifest, indent=2))
-    (out / "report.json").write_text(report.to_json())
+    _write_text(out / "transform.json", json.dumps(manifest, indent=2))
+    _write_text(out / "report.json", report.to_json())
     print(report.format_table())
     return 0
 
@@ -216,7 +222,7 @@ def cmd_eval(args) -> int:
             pts_m, pts_f, lambda pts: trilinear_sample(final_map, pts), spacing=fixed_vol.spacing
         )
     if args.out:
-        Path(args.out).write_text(report.to_json())
+        _write_text(args.out, report.to_json())
     print(report.format_table())
     return 0
 

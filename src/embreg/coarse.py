@@ -46,14 +46,13 @@ class CoarseField:
 
 @dataclass
 class OptimizerConfig:
-    step_size: float = 0.5
     iterations: int = 200
     reg_weight: float = 1.0
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.step_size <= 0 or self.iterations < 1:
-            raise ShapeMismatch("step_size must be > 0 and iterations >= 1")
+        if self.iterations < 1:
+            raise ShapeMismatch("iterations must be >= 1")
         if self.reg_weight < 0 or self.convergence_tol < 0:
             raise ShapeMismatch("reg_weight and convergence_tol must be >= 0")
 
@@ -109,7 +108,7 @@ def optimize_coarse(
     grid_dims,
     config: OptimizerConfig | None = None,
 ) -> CoarseField:
-    """Gradient descent from the zero lattice with step halving on increase."""
+    """Quasi-Newton descent (:func:`~embreg.descent.descend`) from the zero lattice."""
     config = config or OptimizerConfig()
     start = CoarseField(stride=stride, lattice=np.zeros(lattice_dims(grid_dims, stride) + (3,)))
     # The match points do not move during the descent, so one stencil serves every step.
@@ -117,7 +116,6 @@ def optimize_coarse(
     lattice = descend(
         lambda lat: _coarse_loss(lat, *targets, config.reg_weight),
         start.lattice,
-        config.step_size,
         config.iterations,
         config.convergence_tol,
     )

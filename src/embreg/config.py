@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass
 
@@ -18,7 +19,6 @@ class PipelineConfig:
     # coarse stage
     coarse_stride: int = 4
     coarse_reg_weight: float = 1.0
-    coarse_step_size: float = 0.5
     coarse_iterations: int = 200
     coarse_tol: float = 1e-6
     # instance stage
@@ -28,7 +28,6 @@ class PipelineConfig:
     lncc_window: int = 9
     parameterization: str = "displacement"
     svf_steps: int = 7
-    instance_step_size: float = 1.0
     instance_iterations: int = 100
     instance_tol: float = 1e-6
     # stage gating
@@ -47,16 +46,22 @@ def _parse_value(text: str, target_type):
             return False
         raise ShapeMismatch(f"cannot parse boolean from {text!r}")
     try:
-        return target_type(text)
+        value = target_type(text)
     except ValueError:
         raise ShapeMismatch(f"cannot parse {target_type.__name__} from {text!r}") from None
+    if target_type is float and not math.isfinite(value):
+        raise ShapeMismatch(f"value must be finite, got {text!r}")
+    return value
 
 
 def set_option(config: PipelineConfig, key: str, value: str) -> None:
     types = typing.get_type_hints(PipelineConfig)
     if key not in types:
         raise ShapeMismatch(f"unknown configuration key {key!r}")
-    setattr(config, key, _parse_value(value, types[key]))
+    parsed = _parse_value(value, types[key])
+    if key == "feature_scale" and parsed <= 0:
+        raise ShapeMismatch(f"feature_scale must be > 0, got {value.strip()!r}")
+    setattr(config, key, parsed)
 
 
 def load_config(path) -> PipelineConfig:

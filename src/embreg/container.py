@@ -17,6 +17,8 @@ offset    size   field
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -45,6 +47,22 @@ class Vol1:
     attrs: dict[str, str] = field(default_factory=dict)
 
 
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "wb", encoding: str | None = None):
+    """Open a temporary file next to ``path`` for writing; it replaces ``path`` on success.
+
+    If the block raises, ``path`` keeps its previous content and the temporary file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=None) -> None:
     """Write a scalar volume ``(D,H,W)`` or channels-last field ``(D,H,W,C)``."""
     arr = np.asarray(values)
@@ -55,9 +73,12 @@ def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=
     if dtype not in _DTYPES:
         raise ShapeMismatch(f"unsupported dtype code {dtype!r}")
     d, h, w, c = arr.shape
-    attr_text = "".join(
-        f"{k}={v}\n" for k, v in sorted((attrs or {}).items())
-    ).encode("utf-8")
+    items = sorted((attrs or {}).items())
+    for key, value in items:
+        line = f"{key}={value}"
+        if "=" in str(key) or line.splitlines() != [line]:
+            raise ShapeMismatch(f"attribute {line!r} cannot be read back as one key=value line")
+    attr_text = "".join(f"{k}={v}\n" for k, v in items).encode("utf-8")
     header = _HEADER.pack(
         _MAGIC,
         dtype.encode("ascii").ljust(4, b"\x00"),
@@ -71,7 +92,7 @@ def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=
         len(attr_text),
     )
     payload = np.ascontiguousarray(np.moveaxis(arr, -1, 0)).astype(_DTYPES[dtype]).tobytes()
-    with open(path, "wb") as fh:
+    with open_atomic(path) as fh:
         fh.write(header)
         fh.write(attr_text)
         fh.write(payload)

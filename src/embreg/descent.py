@@ -1,7 +1,9 @@
-"""Step-halving gradient descent and the forward-difference smoothness term
-shared by the coarse and instance optimizers."""
+"""Self-scaling quasi-Newton descent and the forward-difference smoothness
+term shared by the coarse and instance optimizers."""
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 
@@ -9,39 +11,90 @@ from .errors import NumericalDivergence
 
 HALVINGS = 31  # trial steps per iteration, halving the step after each rejection
 
+log = logging.getLogger(__name__)
 
-def descend(evaluate, x0, step_size: float, iterations: int, tol: float) -> np.ndarray:
-    """Gradient descent from ``x0``; returns the last accepted point.
+
+def descend(evaluate, x0, iterations: int, tol: float) -> np.ndarray:
+    """Quasi-Newton descent from ``x0``; returns the last accepted point.
 
     ``evaluate(x)`` returns ``(value, gradient_fn)``; ``gradient_fn()`` reuses
-    that evaluation's forward pass and is called once, for accepted points only.
-    The descent stops when no gradient component reaches ``tol`` or when none
-    of the trials ``x - step * grad`` (``step`` from ``step_size``, halved per
-    rejection) has a value that does not increase; a non-finite value raises
-    :class:`NumericalDivergence`.
+    that evaluation's forward pass and is called once, for accepted points
+    only. Its array belongs to the descent, which reuses the buffer.
+
+    The first direction is ``grad / max|grad|``, so the first trial moves no
+    component by more than one unit. Later directions are the L-BFGS product
+    ``H @ grad`` with one correction pair, the last accepted move and its
+    gradient change, which scales the step to the curvature seen along that
+    move; when the pair shows no positive curvature the scaled gradient is
+    used again. Each iteration tries ``x - step * direction`` for ``step`` =
+    1, 1/2, 1/4, ... and accepts the first trial whose value does not
+    increase. The descent stops when no gradient component reaches ``tol``,
+    when every trial is rejected, or after ``iterations`` iterations; a
+    non-finite value raises :class:`NumericalDivergence`. One DEBUG log line
+    per call gives the evaluations, rejected trials, start and final value
+    and the stop reason (``tol``, ``stall`` or ``cap``).
     """
     x = x0
     value, gradient = evaluate(x)
     if not np.isfinite(value):
         raise NumericalDivergence("initial objective not finite")
+    start, evaluations, rejected, stop = value, 1, 0, "cap"
+    grad = move = None
     for _ in range(iterations):
-        grad = gradient()
-        if np.max(np.abs(grad)) < tol:
+        new_grad = gradient()
+        largest = float(np.max(np.abs(new_grad)))
+        if largest < tol or largest == 0.0:
+            stop = "tol"
             break
-        step = step_size
+        direction = _direction(new_grad, largest, move, grad)
+        grad = new_grad
+        step = 1.0
         for _ in range(HALVINGS):
-            trial = x - step * grad
+            trial = x - step * direction
             gradient = None  # free the last forward pass before the next one is built
             trial_value, gradient = evaluate(trial)
+            evaluations += 1
             if not np.isfinite(trial_value):
                 raise NumericalDivergence("objective diverged")
             if trial_value <= value:
+                move = np.subtract(trial, x, out=direction)
                 x, value = trial, trial_value
                 break
+            rejected += 1
             step *= 0.5
         else:
+            stop = "stall"
             break
+    log.debug(
+        "descend: %d evaluations, %d rejected, objective %.6g -> %.6g, stop %s",
+        evaluations, rejected, start, value, stop,
+    )
     return x
+
+
+def _direction(grad, largest: float, move, last_grad) -> np.ndarray:
+    """One-pair L-BFGS product ``H @ grad``, built in the buffers of ``move`` and ``last_grad``.
+
+    ``move`` is the last accepted step ``s`` and ``last_grad`` the gradient
+    before it, overwritten with ``y = grad - last_grad``. Without a pair, or
+    when ``s . y <= 0``, the direction is ``grad / largest``.
+    """
+    if move is None:
+        return grad / largest
+    y = np.subtract(grad, last_grad, out=last_grad)
+    sy = float(np.vdot(move, y))
+    if not sy > 0.0:
+        return np.divide(grad, largest, out=move)
+    yy = float(np.vdot(y, y))
+    alpha = float(np.vdot(move, grad)) / sy
+    beta = float(np.vdot(y, grad)) / yy - alpha  # y . r / (s . y) for r below
+    # r = (s . y / y . y) (grad - alpha y); H grad = r + (alpha - beta) s
+    y *= -alpha
+    y += grad
+    y *= sy / yy
+    move *= alpha - beta
+    move += y
+    return move
 
 
 def smoothness(field: np.ndarray):

@@ -29,7 +29,6 @@ class InstanceConfig:
     lncc_window: int = 9
     parameterization: str = "displacement"  # displacement | svf
     svf_steps: int = 7
-    step_size: float = 1.0
     iterations: int = 100
     convergence_tol: float = 1e-6
 
@@ -42,8 +41,8 @@ class InstanceConfig:
             raise ShapeMismatch(f"LNCC window must be odd >= 3, got {self.lncc_window}")
         if self.parameterization not in ("displacement", "svf"):
             raise ShapeMismatch(f"unknown parameterization {self.parameterization!r}")
-        if self.step_size <= 0 or self.iterations < 1:
-            raise ShapeMismatch("step_size must be > 0 and iterations >= 1")
+        if self.iterations < 1:
+            raise ShapeMismatch("iterations must be >= 1")
 
 
 def sam_loss(warped_features, fixed_features) -> float:
@@ -175,7 +174,7 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
 def optimize_instance(
     feats_m, feats_f, img_m, img_f, init, config: InstanceConfig | None = None
 ) -> np.ndarray:
-    """Gradient descent with step halving; returns the final displacement.
+    """Quasi-Newton descent (:func:`~embreg.descent.descend`); returns the final displacement.
 
     ``init`` is the starting field in the configured parameterization
     (zero when there is no prior stage). In velocity mode the returned
@@ -189,7 +188,6 @@ def optimize_instance(
     field = descend(
         lambda f: _loss(f, feats_m, *fixed, img_m, img_f, config),
         field,
-        config.step_size,
         config.iterations,
         config.convergence_tol,
     )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import open_atomic
 from .errors import DimensionMismatch, InvalidStep, ShapeMismatch
 
 
@@ -180,7 +181,7 @@ def filter_matches(matches: MatchSet, epsilon: float) -> MatchSet:
 
 def save_matches(matches: MatchSet, path) -> None:
     """Write one pair per line: ``zm ym xm zf yf xf score``."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path, "w", encoding="utf-8") as fh:
         for m, f, s in zip(matches.moving, matches.fixed, matches.scores):
             fh.write(f"{m[0]} {m[1]} {m[2]} {f[0]} {f[1]} {f[2]} {s:.9g}\n")
 

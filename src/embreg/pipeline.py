@@ -42,7 +42,6 @@ def coarse_stage(config: PipelineConfig, matches: MatchSet, affine: AffineTransf
             scores=matches.scores,
         )
     opt = OptimizerConfig(
-        step_size=config.coarse_step_size,
         iterations=config.coarse_iterations,
         reg_weight=config.coarse_reg_weight,
         convergence_tol=config.coarse_tol,
@@ -61,7 +60,6 @@ def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine
         lncc_window=config.lncc_window,
         parameterization=config.parameterization,
         svf_steps=config.svf_steps,
-        step_size=config.instance_step_size,
         iterations=config.instance_iterations,
         convergence_tol=config.instance_tol,
     )

@@ -187,7 +187,7 @@ def test_criterion_4_regularizer_reduces_folding(capfd):
                     AffineTransform.identity(),
                     4,
                     dims,
-                    OptimizerConfig(step_size=2.0, iterations=150, reg_weight=lam),
+                    OptimizerConfig(iterations=150, reg_weight=lam),
                 )
                 disp = upsample_coarse(field, dims)
                 foldings[lam] = folding_fraction(jacobian_determinant(disp, displacement=True))

@@ -219,7 +219,20 @@ def test_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("setting", ["bogus_key=1", "match_step=abc"])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "bogus_key=1",
+        "match_step=abc",
+        "instance_step_size=1",
+        "feature_scale=nan",
+        "feature_scale=-1",
+        "feature_scale=0",
+        "coarse_reg_weight=nan",
+        "lambda_sim=inf",
+        "instance_tol=nan",
+    ],
+)
 def test_bad_config_key_exits_3(synth_pair, tmp_path, setting):
     rc = main(
         [

@@ -91,8 +91,7 @@ def test_optimize_descends_monotonically_and_recovers_translation():
     ms = translated_matches(rng, dims, t)
     affine = AffineTransform.identity()
     field = optimize_coarse(ms, affine, stride=4, grid_dims=dims,
-                            config=OptimizerConfig(step_size=5.0, iterations=2000,
-                                                   reg_weight=0.01))
+                            config=OptimizerConfig(iterations=2000, reg_weight=0.01))
     final = coarse_objective(field, ms, affine, 0.01)
     start = coarse_objective(
         CoarseField(4, np.zeros_like(field.lattice)), ms, affine, 0.01

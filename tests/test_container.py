@@ -1,10 +1,18 @@
+import os
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from embreg.container import read_vol1, write_vol1
-from embreg.errors import CorruptContainer, NotVol1, ShapeMismatch
+from embreg.container import open_atomic, read_vol1, write_vol1
+from embreg.errors import CorruptContainer, NotVol1, RegistrationError, ShapeMismatch
+
+# tmp_path is shared by a test's examples; every example overwrites the same files
+examples = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 
 
 def test_round_trip_scalar_volume(tmp_path):
@@ -138,3 +146,74 @@ def test_write_rejects_bad_shapes_and_dtypes(tmp_path):
         write_vol1(tmp_path / "m.vol1", np.zeros((2, 2)))
     with pytest.raises(ShapeMismatch):
         write_vol1(tmp_path / "n.vol1", np.zeros((2, 2, 2)), dtype="i32")
+
+
+def test_write_rejects_attrs_that_cannot_round_trip(tmp_path):
+    for attrs in ({"a=b": "1"}, {"a": "1\nb=2"}, {"a\rb": "1"}):
+        with pytest.raises(ShapeMismatch):
+            write_vol1(tmp_path / "p.vol1", np.zeros((2, 2, 2)), attrs=attrs)
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "q.vol1"
+    write_vol1(path, np.ones((2, 2, 2)))
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with open_atomic(path) as fh:
+            fh.write(b"VOL1 partial")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["q.vol1"]
+
+
+_SAMPLES = {
+    "f64": st.floats(allow_nan=False),
+    "f32": st.floats(width=32, allow_nan=False),
+    "u16": st.integers(0, 2**16 - 1),
+    "u8": st.integers(0, 2**8 - 1),
+}
+_ATTR_TEXT = st.text(st.characters(blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+
+
+@st.composite
+def volumes(draw):
+    dtype = draw(st.sampled_from(sorted(_SAMPLES)))
+    shape = draw(st.tuples(*[st.integers(1, 4)] * 4))
+    flat = draw(st.lists(_SAMPLES[dtype], min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    spacing = draw(st.tuples(*[st.floats(allow_nan=False)] * 3))
+    attrs = draw(st.dictionaries(_ATTR_TEXT.filter(lambda k: "=" not in k), _ATTR_TEXT, max_size=3))
+    return np.array(flat, dtype=np.float64).reshape(shape), dtype, spacing, attrs
+
+
+@examples
+@given(volumes())
+def test_round_trip_is_exact(tmp_path, volume):
+    values, dtype, spacing, attrs = volume
+    path = tmp_path / "r.vol1"
+    write_vol1(path, values, spacing=spacing, dtype=dtype, attrs=attrs)
+    back = read_vol1(path)
+    assert back.dtype == dtype
+    assert back.spacing == spacing
+    assert back.attrs == attrs
+    assert back.values.shape == values.shape
+    np.testing.assert_array_equal(back.values, values)
+
+
+@examples
+@given(volumes(), st.data())
+def test_damaged_files_raise_only_registration_errors(tmp_path, volume, data):
+    values, dtype, spacing, attrs = volume
+    path = tmp_path / "s.vol1"
+    write_vol1(path, values, spacing=spacing, dtype=dtype, attrs=attrs)
+    blob = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        for index in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=4)):
+            blob[index] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(blob))
+    try:
+        read_vol1(path)
+    except RegistrationError:
+        pass

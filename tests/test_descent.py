@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,36 +8,44 @@ from embreg.errors import NumericalDivergence
 
 
 class Quadratic:
-    """``f(x) = sum(x**2)`` that logs every value and gradient request."""
+    """``f(x) = sum(weights * x**2)`` that logs every value and gradient request."""
 
-    def __init__(self, gradient_sign=1.0, value_at=None):
+    def __init__(self, weights=1.0, gradient_sign=1.0, value_at=None):
+        self.weights = np.asarray(weights, dtype=np.float64)
         self.gradient_sign = gradient_sign
-        self.value_at = value_at or (lambda x: float(np.sum(x * x)))
+        self.value_at = value_at or (lambda x: float(np.sum(self.weights * x * x)))
         self.evaluated = []
         self.differentiated = []
+        self.trials = []  # (point, value) of every evaluation
 
     def __call__(self, x):
         self.evaluated.append(float(x[0]))
+        value = self.value_at(x)
+        self.trials.append((x.copy(), value))
 
         def gradient():
             self.differentiated.append(float(x[0]))
-            return self.gradient_sign * 2.0 * x
+            return self.gradient_sign * 2.0 * self.weights * x
 
-        return self.value_at(x), gradient
+        return value, gradient
 
 
 def test_stops_at_tolerance_without_further_trials():
     f = Quadratic()
-    # a unit step from 1 lands on the minimum, where the gradient is zero
-    x = descend(f, np.array([1.0]), step_size=0.5, iterations=100, tol=1e-6)
+    # the scaled gradient from 1 is 1, so the first trial lands on the minimum
+    x = descend(f, np.array([1.0]), iterations=100, tol=1e-6)
     np.testing.assert_array_equal(x, [0.0])
     assert f.evaluated == [1.0, 0.0]
     assert f.differentiated == [1.0, 0.0]
+    # a zero gradient stops even at zero tolerance
+    f = Quadratic()
+    np.testing.assert_array_equal(descend(f, np.array([0.0]), iterations=10, tol=0.0), [0.0])
+    assert f.evaluated == [0.0]
 
 
 def test_stops_silently_when_line_search_stalls():
     f = Quadratic(gradient_sign=-1.0)  # points uphill: every trial is worse
-    x = descend(f, np.array([1.0]), step_size=1.0, iterations=100, tol=1e-6)
+    x = descend(f, np.array([1.0]), iterations=100, tol=1e-6)
     np.testing.assert_array_equal(x, [1.0])
     assert len(f.evaluated) == 1 + HALVINGS
     assert f.differentiated == [1.0]
@@ -43,15 +53,72 @@ def test_stops_silently_when_line_search_stalls():
 
 def test_non_finite_value_raises():
     with pytest.raises(NumericalDivergence):
-        descend(Quadratic(value_at=lambda x: np.nan), np.array([1.0]), 1.0, 10, 1e-6)
-    blows_up = Quadratic(value_at=lambda x: np.inf if x[0] < 0 else float(x[0] ** 2))
+        descend(Quadratic(value_at=lambda x: np.nan), np.array([1.0]), 10, 1e-6)
+    # the first trial from 1 reaches 0, where the value is infinite
+    blows_up = Quadratic(value_at=lambda x: np.inf if x[0] < 0.5 else float(x[0] ** 2))
     with pytest.raises(NumericalDivergence):
-        descend(blows_up, np.array([1.0]), step_size=3.0, iterations=10, tol=1e-6)
+        descend(blows_up, np.array([1.0]), iterations=10, tol=1e-6)
 
 
 def test_gradient_only_at_accepted_points():
-    f = Quadratic()
-    descend(f, np.array([1.0]), step_size=3.0, iterations=2, tol=1e-6)
-    # from 1: steps 3, 1.5 rejected, 0.75 accepted; from -0.5 likewise
-    assert f.evaluated == [1.0, -5.0, -2.0, -0.5, 2.5, 1.0, 0.25]
-    assert f.differentiated == [1.0, -0.5]
+    f = Quadratic(weights=[1.0, 100.0])
+    descend(f, np.array([1.0, 1.0]), iterations=6, tol=1e-6)
+    accepted, best = [], np.inf
+    for point, value in f.trials:
+        if value <= best:
+            accepted.append(float(point[0]))
+            best = value
+    assert len(accepted) < len(f.trials), "no trial was rejected"
+    # the point accepted in the last of the six iterations is returned undifferentiated
+    assert len(accepted) == 7
+    assert f.differentiated == accepted[:-1]
+
+
+def test_first_trial_moves_at_most_one_unit():
+    for scale in (1e-6, 1.0, 1e6):
+        f = Quadratic(weights=[scale, 3.0 * scale, 0.5 * scale])
+        x0 = np.array([4.0, -2.0, 8.0])
+        descend(f, x0, iterations=1, tol=0.0)
+        first_move = f.trials[1][0] - x0
+        assert np.max(np.abs(first_move)) == pytest.approx(1.0)
+
+
+def test_equal_value_is_accepted():
+    f = Quadratic(value_at=lambda x: 1.0)
+    x = descend(f, np.array([1.0]), iterations=1, tol=1e-6)
+    np.testing.assert_array_equal(x, [0.0])
+    assert f.evaluated == [1.0, 0.0]
+
+
+def test_scaled_gradient_again_without_positive_curvature():
+    trials = []
+
+    def cosine(x):
+        trials.append(float(x[0]))
+        return float(np.cos(x[0])), lambda: -np.sin(x)
+
+    descend(cosine, np.array([0.5]), iterations=2, tol=1e-6)
+    # from 0.5 the unit move to 1.5 steepens the slope (s . y < 0), so the
+    # next direction is the scaled gradient again: one more unit
+    assert trials == [0.5, 1.5, 2.5]
+
+
+def test_anisotropic_quadratic_reaches_tolerance_in_few_iterations():
+    weights = np.array([1.0, 10.0])
+    f = Quadratic(weights=weights)
+    x = descend(f, np.array([1.0, 1.0]), iterations=100, tol=1e-6)
+    assert np.max(np.abs(2.0 * weights * x)) < 1e-6
+    assert len(f.evaluated) <= 30
+
+
+def test_logs_evaluations_and_stop_reason(caplog):
+    with caplog.at_level(logging.DEBUG, logger="embreg.descent"):
+        descend(Quadratic(), np.array([1.0]), iterations=100, tol=1e-6)
+        descend(Quadratic(gradient_sign=-1.0), np.array([1.0]), iterations=100, tol=1e-6)
+        descend(Quadratic(weights=[1.0, 100.0]), np.array([1.0, 1.0]), iterations=2, tol=1e-6)
+    messages = [r.getMessage() for r in caplog.records if r.name == "embreg.descent"]
+    assert messages[0] == "descend: 2 evaluations, 0 rejected, objective 1 -> 0, stop tol"
+    assert messages[1] == (
+        f"descend: {1 + HALVINGS} evaluations, {HALVINGS} rejected, objective 1 -> 1, stop stall"
+    )
+    assert messages[2].endswith("stop cap")

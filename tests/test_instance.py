@@ -152,8 +152,7 @@ def test_optimize_reduces_objective_and_recovers_small_shift():
     from embreg.grid import identity_grid
 
     feats_m = warp_features(feats_f, identity_grid((12, 12, 12)) - shift)
-    # per-voxel gradients carry a 1/N factor, so the step is scaled with volume
-    config = InstanceConfig(lambda_sim=1.0, lambda_reg=0.01, iterations=80, step_size=1000.0)
+    config = InstanceConfig(lambda_sim=1.0, lambda_reg=0.01, iterations=80)
     start = instance_objective(np.zeros_like(shift), feats_m, feats_f, None, None, config)
     out = optimize_instance(feats_m, feats_f, None, None, np.zeros_like(shift), config)
     end = instance_objective(out, feats_m, feats_f, None, None, config)
