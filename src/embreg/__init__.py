@@ -11,7 +11,6 @@ from .affine import AffineTransform, apply_affine, fit_affine, fit_affine_points
 from .bundle import Bundle
 from .coarse import (
     CoarseField,
-    OptimizerConfig,
     coarse_gradient,
     coarse_objective,
     optimize_coarse,
@@ -20,7 +19,6 @@ from .coarse import (
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import Vol1, read_vol1, write_vol1
 from .grid import (
-    GridShape,
     identity_grid,
     normalize_features,
     trilinear_sample,
@@ -30,7 +28,6 @@ from .grid import (
     warp_scalar,
 )
 from .instance import (
-    InstanceConfig,
     instance_gradient,
     instance_objective,
     optimize_instance,

@@ -18,10 +18,9 @@ from .coarse import CoarseField, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import open_atomic, read_vol1, write_vol1
 from .errors import CorruptContainer, NumericalDivergence, RegistrationError, ShapeMismatch
-from .grid import warp_labels
-from .matching import load_matches, save_matches
-from .metrics import RegistrationReport, dice, landmark_error
-from .pipeline import coarse_stage, instance_stage, match_stage, run_pipeline
+from .matching import load_matches, save_matches, select_points
+from .metrics import dice  # noqa: F401  (perfbench/tracer.py wraps this name here)
+from .pipeline import coarse_stage, evaluate, instance_stage, match_stage, run_pipeline
 from .synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
@@ -200,12 +199,7 @@ def cmd_eval(args) -> int:
     moving_labels = read_vol1(args.moving_labels).values[..., 0]
     fixed_vol = read_vol1(args.fixed_labels)
     fixed_labels = fixed_vol.values[..., 0]
-    final_map = compose(transform, fixed_labels.shape)
-    report = RegistrationReport()
-    report.per_label_dice, report.mean_dice = dice(
-        warp_labels(moving_labels, final_map), fixed_labels
-    )
-    report.folding_fraction = folding_fraction(jacobian_determinant(final_map))
+    landmarks = None
     if args.gt_map:
         gt = read_vol1(args.gt_map).values
         if gt.shape != fixed_labels.shape + (3,):
@@ -213,14 +207,11 @@ def cmd_eval(args) -> int:
                 f"{args.gt_map}: ground-truth map {gt.shape} must be (D,H,W,3) on the "
                 f"fixed labels' grid {fixed_labels.shape}"
             )
-        from .grid import trilinear_sample
-        from .matching import select_points
-
         pts_f = select_points(fixed_labels.shape, 4).astype(np.float64)
         pts_m = gt[pts_f[:, 0].astype(int), pts_f[:, 1].astype(int), pts_f[:, 2].astype(int)]
-        report.mean_landmark_error = landmark_error(
-            pts_m, pts_f, lambda pts: trilinear_sample(final_map, pts), spacing=fixed_vol.spacing
-        )
+        landmarks = (pts_m, pts_f)
+    final_map = compose(transform, fixed_labels.shape)
+    report = evaluate(final_map, moving_labels, fixed_labels, fixed_vol.spacing, landmarks)
     if args.out:
         _write_text(args.out, report.to_json())
     print(report.format_table())

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import AffineTransform, apply_affine, invert_affine
+from .config import PipelineConfig
 from .descent import descend, smoothness
 from .errors import EmptyMatchSet, ShapeMismatch
 from .grid import Stencil, identity_grid, trilinear_sample
@@ -42,19 +43,6 @@ class CoarseField:
             raise ShapeMismatch("non-finite lattice displacement")
         object.__setattr__(self, "stride", int(self.stride))
         object.__setattr__(self, "lattice", lat)
-
-
-@dataclass
-class OptimizerConfig:
-    iterations: int = 200
-    reg_weight: float = 1.0
-    convergence_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ShapeMismatch("iterations must be >= 1")
-        if self.reg_weight < 0 or self.convergence_tol < 0:
-            raise ShapeMismatch("reg_weight and convergence_tol must be >= 0")
 
 
 def lattice_dims(grid_dims, stride: int) -> tuple[int, int, int]:
@@ -102,22 +90,22 @@ def coarse_gradient(
 
 
 def optimize_coarse(
-    matches: MatchSet,
-    affine: AffineTransform,
-    stride: int,
-    grid_dims,
-    config: OptimizerConfig | None = None,
+    matches: MatchSet, affine: AffineTransform, grid_dims, config: PipelineConfig
 ) -> CoarseField:
-    """Quasi-Newton descent (:func:`~embreg.descent.descend`) from the zero lattice."""
-    config = config or OptimizerConfig()
+    """Quasi-Newton descent (:func:`~embreg.descent.descend`) from the zero lattice.
+
+    Reads ``coarse_stride``, ``coarse_reg_weight``, ``coarse_iterations`` and
+    ``coarse_tol`` from ``config``; the matches are in image-grid voxels.
+    """
+    stride = config.coarse_stride
     start = CoarseField(stride=stride, lattice=np.zeros(lattice_dims(grid_dims, stride) + (3,)))
     # The match points do not move during the descent, so one stencil serves every step.
     targets = _match_targets(matches, affine, start)
     lattice = descend(
-        lambda lat: _coarse_loss(lat, *targets, config.reg_weight),
+        lambda lat: _coarse_loss(lat, *targets, config.coarse_reg_weight),
         start.lattice,
-        config.iterations,
-        config.convergence_tol,
+        config.coarse_iterations,
+        config.coarse_tol,
     )
     return CoarseField(stride=start.stride, lattice=lattice)
 

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import math
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 
 from .errors import ShapeMismatch
 
 
 @dataclass
 class PipelineConfig:
+    """Every setting of every stage; the stages read their fields from it directly.
+
+    Construction checks every field, so a config built in code, read by
+    :func:`load_config` or changed by :func:`set_option` passes the same
+    checks; a failed check raises :class:`~embreg.errors.ShapeMismatch`.
+    """
+
     # matching
     match_step: int = 4
     sscc_iterations: int = 5
@@ -35,6 +42,33 @@ class PipelineConfig:
     enable_coarse: bool = True
     enable_instance: bool = True
 
+    def __post_init__(self):
+        for field in fields(self):
+            value, kind = getattr(self, field.name), type(field.default)
+            if kind is float:
+                ok = isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            elif kind is int:
+                ok = isinstance(value, Integral) and not isinstance(value, bool)
+            else:
+                ok = isinstance(value, kind)
+            if not ok:
+                qualifier = " finite" if kind is float else ""
+                raise ShapeMismatch(f"{field.name} must be a{qualifier} {kind.__name__}, got {value!r}")
+        if self.feature_scale <= 0:
+            raise ShapeMismatch(f"feature_scale must be > 0, got {self.feature_scale!r}")
+        for name in ("coarse_reg_weight", "coarse_tol", "lambda_sim", "lambda_reg"):
+            if getattr(self, name) < 0:
+                raise ShapeMismatch(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("coarse_iterations", "instance_iterations"):
+            if getattr(self, name) < 1:
+                raise ShapeMismatch(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.intensity_term not in ("none", "ncc", "lncc"):
+            raise ShapeMismatch(f"unknown intensity term {self.intensity_term!r}")
+        if self.intensity_term == "lncc" and (self.lncc_window < 3 or self.lncc_window % 2 == 0):
+            raise ShapeMismatch(f"LNCC window must be odd >= 3, got {self.lncc_window}")
+        if self.parameterization not in ("displacement", "svf"):
+            raise ShapeMismatch(f"unknown parameterization {self.parameterization!r}")
+
 
 def _parse_value(text: str, target_type):
     text = text.strip()
@@ -49,18 +83,15 @@ def _parse_value(text: str, target_type):
         value = target_type(text)
     except ValueError:
         raise ShapeMismatch(f"cannot parse {target_type.__name__} from {text!r}") from None
-    if target_type is float and not math.isfinite(value):
-        raise ShapeMismatch(f"value must be finite, got {text!r}")
     return value
 
 
 def set_option(config: PipelineConfig, key: str, value: str) -> None:
-    types = typing.get_type_hints(PipelineConfig)
+    types = {field.name: type(field.default) for field in fields(PipelineConfig)}
     if key not in types:
         raise ShapeMismatch(f"unknown configuration key {key!r}")
     parsed = _parse_value(value, types[key])
-    if key == "feature_scale" and parsed <= 0:
-        raise ShapeMismatch(f"feature_scale must be > 0, got {value.strip()!r}")
+    replace(config, **{key: parsed})  # runs every check before ``config`` changes
     setattr(config, key, parsed)
 
 

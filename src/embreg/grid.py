@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +20,6 @@ from .errors import InvalidCoordinate, ShapeMismatch
 
 # Interpolated feature vectors with a norm below this are masked to zero.
 MASK_NORM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class GridShape:
-    """Voxel counts ``(D, H, W)`` plus physical spacing per axis."""
-
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
-            raise ShapeMismatch(f"grid dims must be three counts >= 1, got {self.dims}")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ShapeMismatch(f"spacing must be three positive lengths, got {self.spacing}")
-
-    @property
-    def voxel_count(self) -> int:
-        d, h, w = self.dims
-        return int(d) * int(h) * int(w)
 
 
 def _as_points(points) -> np.ndarray:

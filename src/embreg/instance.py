@@ -9,40 +9,15 @@ correlation terms, and (in velocity mode) scaling-and-squaring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import PipelineConfig
 from .descent import descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
 from .grid import Stencil, identity_grid, normalize_rows
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .metrics import lncc_gradient, ncc_gradient
-from .transform import integrate_svf_with_tape, svf_backward
-
-
-@dataclass
-class InstanceConfig:
-    lambda_sim: float = 1.0
-    lambda_reg: float = 1.0
-    intensity_term: str = "none"  # none | ncc | lncc
-    lncc_window: int = 9
-    parameterization: str = "displacement"  # displacement | svf
-    svf_steps: int = 7
-    iterations: int = 100
-    convergence_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.lambda_sim < 0 or self.lambda_reg < 0:
-            raise ShapeMismatch("loss weights must be >= 0")
-        if self.intensity_term not in ("none", "ncc", "lncc"):
-            raise ShapeMismatch(f"unknown intensity term {self.intensity_term!r}")
-        if self.intensity_term == "lncc" and (self.lncc_window < 3 or self.lncc_window % 2 == 0):
-            raise ShapeMismatch(f"LNCC window must be odd >= 3, got {self.lncc_window}")
-        if self.parameterization not in ("displacement", "svf"):
-            raise ShapeMismatch(f"unknown parameterization {self.parameterization!r}")
-        if self.iterations < 1:
-            raise ShapeMismatch("iterations must be >= 1")
+from .transform import integrate_svf, integrate_svf_with_tape, svf_backward
 
 
 def sam_loss(warped_features, fixed_features) -> float:
@@ -92,13 +67,13 @@ def reg_loss(field) -> float:
     return smoothness(f)[0]
 
 
-def instance_objective(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> float:
+def instance_objective(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> float:
     """Weighted sum of similarity losses on the warp plus smoothness on the field."""
     field = np.asarray(field, dtype=np.float64)
     return _loss(field, feats_m, *_fixed_side(feats_f), img_m, img_f, config)[0]
 
 
-def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: InstanceConfig) -> np.ndarray:
+def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> np.ndarray:
     """Analytic gradient of :func:`instance_objective` w.r.t. the field."""
     field = np.asarray(field, dtype=np.float64)
     return _loss(field, feats_m, *_fixed_side(feats_f), img_m, img_f, config)[1]()
@@ -171,16 +146,16 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
     return value, gradient
 
 
-def optimize_instance(
-    feats_m, feats_f, img_m, img_f, init, config: InstanceConfig | None = None
-) -> np.ndarray:
+def optimize_instance(feats_m, feats_f, img_m, img_f, init, config: PipelineConfig) -> np.ndarray:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`); returns the final displacement.
 
     ``init`` is the starting field in the configured parameterization
     (zero when there is no prior stage). In velocity mode the returned
-    field is the integrated displacement.
+    field is the integrated displacement. Reads ``lambda_sim``,
+    ``lambda_reg``, ``intensity_term``, ``lncc_window``,
+    ``parameterization``, ``svf_steps``, ``instance_iterations`` and
+    ``instance_tol`` from ``config``.
     """
-    config = config or InstanceConfig()
     field = np.array(init, dtype=np.float64)
     if field.ndim != 4 or field.shape[-1] != 3:
         raise ShapeMismatch(f"init field must be (D,H,W,3), got {field.shape}")
@@ -188,9 +163,9 @@ def optimize_instance(
     field = descend(
         lambda f: _loss(f, feats_m, *fixed, img_m, img_f, config),
         field,
-        config.iterations,
-        config.convergence_tol,
+        config.instance_iterations,
+        config.instance_tol,
     )
     if config.parameterization == "svf":
-        return integrate_svf_with_tape(field, config.svf_steps)[0]
+        return integrate_svf(field, config.svf_steps)
     return field

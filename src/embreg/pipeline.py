@@ -8,11 +8,11 @@ import numpy as np
 
 from .affine import AffineTransform, fit_affine
 from .bundle import Bundle
-from .coarse import OptimizerConfig, optimize_coarse, upsample_coarse
+from .coarse import optimize_coarse, upsample_coarse
 from .config import PipelineConfig
 from .errors import RegistrationError, ShapeMismatch
-from .grid import warp_features, warp_labels, warp_scalar
-from .instance import InstanceConfig, optimize_instance
+from .grid import trilinear_sample, warp_features, warp_labels, warp_scalar
+from .instance import optimize_instance
 from .matching import MatchSet, filter_matches, sscc
 from .metrics import RegistrationReport, dice, landmark_error
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
@@ -41,37 +41,46 @@ def coarse_stage(config: PipelineConfig, matches: MatchSet, affine: AffineTransf
             fixed=np.rint(matches.fixed * config.feature_scale).astype(np.int64),
             scores=matches.scores,
         )
-    opt = OptimizerConfig(
-        iterations=config.coarse_iterations,
-        reg_weight=config.coarse_reg_weight,
-        convergence_tol=config.coarse_tol,
-    )
-    return optimize_coarse(matches, affine, config.coarse_stride, dims, opt)
+    return optimize_coarse(matches, affine, dims, config)
 
 
 def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine, coarse_dense):
     """Fit the instance field after the affine and coarse stages; returns ``(dense, pre_map)``."""
     dims = fixed.dims
     pre_map = compose(CompositeTransform(affine=affine, coarse=coarse_dense), dims)
-    icfg = InstanceConfig(
-        lambda_sim=config.lambda_sim,
-        lambda_reg=config.lambda_reg,
-        intensity_term=config.intensity_term,
-        lncc_window=config.lncc_window,
-        parameterization=config.parameterization,
-        svf_steps=config.svf_steps,
-        iterations=config.instance_iterations,
-        convergence_tol=config.instance_tol,
-    )
     dense = optimize_instance(
         warp_features(moving.features, pre_map),
         fixed.features,
         warp_scalar(moving.intensity, pre_map),
         fixed.intensity,
         np.zeros(dims + (3,)),
-        icfg,
+        config,
     )
     return dense, pre_map
+
+
+def evaluate(final_map, moving_labels, fixed_labels, spacing, landmarks=None) -> RegistrationReport:
+    """Folding fraction of ``final_map``, Dice of the warped labels and landmark error.
+
+    Dice needs both label maps; the landmark error needs ``landmarks``, an
+    index-matched ``(points_moving, points_fixed)`` pair in voxel units, and
+    is measured in the fixed grid's ``spacing``.
+    """
+    report = RegistrationReport()
+    report.folding_fraction = folding_fraction(jacobian_determinant(final_map))
+    if moving_labels is not None and fixed_labels is not None:
+        report.per_label_dice, report.mean_dice = dice(
+            warp_labels(moving_labels, final_map), fixed_labels
+        )
+    if landmarks is not None:
+        points_moving, points_fixed = landmarks
+        report.mean_landmark_error = landmark_error(
+            points_moving,
+            points_fixed,
+            lambda pts: trilinear_sample(final_map, pts),
+            spacing=spacing,
+        )
+    return report
 
 
 def run_pipeline(
@@ -87,7 +96,7 @@ def run_pipeline(
     used for the landmark-error entry of the report.
 
     Returns the composite transform, a report, and a dict of intermediate
-    artifacts (matches, fields, warped volumes).
+    artifacts (matches, affine, coarse and composed maps).
     """
     if moving.dims != fixed.dims:
         raise ShapeMismatch(f"bundle grids differ: {moving.dims} vs {fixed.dims}")
@@ -130,21 +139,7 @@ def run_pipeline(
     final_map = compose(transform, dims)
     artifacts["final_map"] = final_map
 
-    report = RegistrationReport(stage_timings=timings)
-    report.folding_fraction = folding_fraction(jacobian_determinant(final_map))
-    if moving.labels is not None and fixed.labels is not None:
-        warped_labels = warp_labels(moving.labels, final_map)
-        artifacts["warped_labels"] = warped_labels
-        report.per_label_dice, report.mean_dice = dice(warped_labels, fixed.labels)
-    if landmarks is not None:
-        points_moving, points_fixed = landmarks
-        from .grid import trilinear_sample
-
-        report.mean_landmark_error = landmark_error(
-            points_moving,
-            points_fixed,
-            lambda pts: trilinear_sample(final_map, pts),
-            spacing=fixed.spacing,
-        )
+    report = evaluate(final_map, moving.labels, fixed.labels, fixed.spacing, landmarks)
+    report.stage_timings = timings
     timings["evaluate"] = time.perf_counter() - t0
     return transform, report, artifacts

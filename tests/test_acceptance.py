@@ -11,7 +11,6 @@ import numpy as np
 from embreg.affine import AffineTransform, apply_affine, fit_affine_points, invert_affine
 from embreg.coarse import (
     CoarseField,
-    OptimizerConfig,
     coarse_gradient,
     coarse_objective,
     optimize_coarse,
@@ -21,7 +20,7 @@ from embreg.config import PipelineConfig
 from embreg.container import read_vol1, write_vol1
 from embreg.errors import CorruptContainer, NotVol1
 from embreg.grid import identity_grid, normalize_features
-from embreg.instance import InstanceConfig, instance_gradient, instance_objective
+from embreg.instance import instance_gradient, instance_objective
 from embreg.matching import MatchSet, filter_matches, find_points, sscc
 from embreg.metrics import dice, landmark_error, lncc, ncc
 from embreg.pipeline import run_pipeline
@@ -90,7 +89,7 @@ def test_criterion_1_gradient_correctness(capfd):
             img_f = rng.normal(size=idims)
             term = ("none", "ncc", "lncc")[seed % 3]
             param = ("displacement", "svf")[seed % 2]
-            cfg = InstanceConfig(
+            cfg = PipelineConfig(
                 lambda_sim=1.0,
                 lambda_reg=float(rng.uniform(0.1, 1.0)),
                 intensity_term=term,
@@ -185,9 +184,8 @@ def test_criterion_4_regularizer_reduces_folding(capfd):
                 field = optimize_coarse(
                     ms,
                     AffineTransform.identity(),
-                    4,
                     dims,
-                    OptimizerConfig(iterations=150, reg_weight=lam),
+                    PipelineConfig(coarse_iterations=150, coarse_reg_weight=lam),
                 )
                 disp = upsample_coarse(field, dims)
                 foldings[lam] = folding_fraction(jacobian_determinant(disp, displacement=True))

@@ -4,13 +4,13 @@ import pytest
 from embreg.affine import AffineTransform
 from embreg.coarse import (
     CoarseField,
-    OptimizerConfig,
     coarse_gradient,
     coarse_objective,
     lattice_dims,
     optimize_coarse,
     upsample_coarse,
 )
+from embreg.config import PipelineConfig
 from embreg.errors import EmptyMatchSet, ShapeMismatch
 from embreg.matching import MatchSet
 
@@ -90,8 +90,8 @@ def test_optimize_descends_monotonically_and_recovers_translation():
     t = (0, 2, -1)
     ms = translated_matches(rng, dims, t)
     affine = AffineTransform.identity()
-    field = optimize_coarse(ms, affine, stride=4, grid_dims=dims,
-                            config=OptimizerConfig(iterations=2000, reg_weight=0.01))
+    field = optimize_coarse(ms, affine, grid_dims=dims,
+                            config=PipelineConfig(coarse_iterations=2000, coarse_reg_weight=0.01))
     final = coarse_objective(field, ms, affine, 0.01)
     start = coarse_objective(
         CoarseField(4, np.zeros_like(field.lattice)), ms, affine, 0.01
@@ -111,10 +111,10 @@ def test_zero_reg_weight_allows_larger_displacements_than_strong_reg():
     fixed = ms.fixed.copy()
     fixed[:3] = (fixed[:3] + 7) % 14
     ms = MatchSet(moving=ms.moving, fixed=fixed, scores=ms.scores)
-    low = optimize_coarse(ms, AffineTransform.identity(), 4, dims,
-                          OptimizerConfig(reg_weight=0.0, iterations=150))
-    high = optimize_coarse(ms, AffineTransform.identity(), 4, dims,
-                           OptimizerConfig(reg_weight=10.0, iterations=150))
+    low = optimize_coarse(ms, AffineTransform.identity(), dims,
+                          PipelineConfig(coarse_reg_weight=0.0, coarse_iterations=150))
+    high = optimize_coarse(ms, AffineTransform.identity(), dims,
+                           PipelineConfig(coarse_reg_weight=10.0, coarse_iterations=150))
     rough_low = sum(float(np.sum(np.diff(low.lattice, axis=a) ** 2)) for a in range(3))
     rough_high = sum(float(np.sum(np.diff(high.lattice, axis=a) ** 2)) for a in range(3))
     assert rough_high < rough_low
@@ -127,7 +127,7 @@ def test_optimize_rejects_empty_match_set():
         scores=np.zeros(0),
     )
     with pytest.raises(EmptyMatchSet):
-        optimize_coarse(ms, AffineTransform.identity(), 4, (8, 8, 8))
+        optimize_coarse(ms, AffineTransform.identity(), (8, 8, 8), PipelineConfig())
 
 
 def test_upsample_constant_lattice_is_constant():

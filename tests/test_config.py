@@ -74,3 +74,37 @@ def test_apply_overrides_wins_over_file(tmp_path):
 def test_apply_overrides_rejects_malformed_item():
     with pytest.raises(ShapeMismatch):
         apply_overrides(PipelineConfig(), ["epsilon0.9"])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # the values `--set` rejects in tests/test_cli.py::test_bad_config_key_exits_3
+        {"match_step": "abc"},
+        {"feature_scale": float("nan")},
+        {"feature_scale": -1.0},
+        {"feature_scale": 0.0},
+        {"coarse_reg_weight": float("nan")},
+        {"lambda_sim": float("inf")},
+        {"instance_tol": float("nan")},
+        # stage settings no stage can run with
+        {"lambda_sim": -1.0},
+        {"intensity_term": "mi"},
+        {"parameterization": "bspline"},
+        {"intensity_term": "lncc", "lncc_window": 4},
+        {"instance_iterations": 0},
+        {"coarse_iterations": 0},
+        {"enable_affine": "yes"},
+    ],
+    ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()),
+)
+def test_code_built_config_is_checked(case):
+    with pytest.raises(ShapeMismatch):
+        PipelineConfig(**case)
+
+
+def test_set_option_checks_the_whole_config_and_keeps_it_on_failure():
+    cfg = PipelineConfig(intensity_term="lncc")
+    with pytest.raises(ShapeMismatch):
+        set_option(cfg, "lncc_window", "4")
+    assert cfg.lncc_window == 9

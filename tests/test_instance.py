@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from embreg import grid
+from embreg.config import PipelineConfig
 from embreg.errors import EmptyOverlap, ShapeMismatch
 from embreg.grid import normalize_features, warp_features
 from embreg.instance import (
-    InstanceConfig,
     instance_gradient,
     instance_objective,
     optimize_instance,
@@ -81,7 +81,7 @@ def test_reg_loss_matches_direct_sum():
 def test_objective_zero_field_identical_volumes():
     rng = np.random.default_rng(3)
     feats = random_features(rng, (5, 5, 5), 8)
-    config = InstanceConfig(lambda_sim=1.0, lambda_reg=1.0)
+    config = PipelineConfig(lambda_sim=1.0, lambda_reg=1.0)
     value = instance_objective(np.zeros((5, 5, 5, 3)), feats, feats, None, None, config)
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -94,7 +94,7 @@ def test_gradient_matches_finite_differences_displacement(term):
     feats_f = random_features(rng, dims, 6)
     img_m = rng.normal(size=dims)
     img_f = rng.normal(size=dims)
-    config = InstanceConfig(
+    config = PipelineConfig(
         lambda_sim=0.8, lambda_reg=0.6, intensity_term=term, lncc_window=3
     )
     field = rng.normal(scale=0.3, size=dims + (3,))
@@ -110,7 +110,7 @@ def test_gradient_matches_finite_differences_svf():
     dims = (5, 5, 5)
     feats_m = random_features(rng, dims, 4)
     feats_f = random_features(rng, dims, 4)
-    config = InstanceConfig(
+    config = PipelineConfig(
         lambda_sim=1.0, lambda_reg=0.5, parameterization="svf", svf_steps=4
     )
     field = rng.normal(scale=0.2, size=dims + (3,))
@@ -130,7 +130,7 @@ def test_loss_and_gradient_do_not_depend_on_row_blocks(parameterization):
     feats_f = random_features(rng, dims, 6)
     feats_f[3] = 0.0
     img_m, img_f = rng.normal(size=dims), rng.normal(size=dims)
-    config = InstanceConfig(
+    config = PipelineConfig(
         lambda_sim=0.8, lambda_reg=0.6, intensity_term="ncc", parameterization=parameterization
     )
     field = rng.normal(scale=0.5, size=dims + (3,))
@@ -152,7 +152,7 @@ def test_optimize_reduces_objective_and_recovers_small_shift():
     from embreg.grid import identity_grid
 
     feats_m = warp_features(feats_f, identity_grid((12, 12, 12)) - shift)
-    config = InstanceConfig(lambda_sim=1.0, lambda_reg=0.01, iterations=80)
+    config = PipelineConfig(lambda_sim=1.0, lambda_reg=0.01, instance_iterations=80)
     start = instance_objective(np.zeros_like(shift), feats_m, feats_f, None, None, config)
     out = optimize_instance(feats_m, feats_f, None, None, np.zeros_like(shift), config)
     end = instance_objective(out, feats_m, feats_f, None, None, config)
@@ -166,26 +166,15 @@ def test_optimize_svf_returns_integrated_displacement():
     rng = np.random.default_rng(6)
     dims = (6, 6, 6)
     feats = random_features(rng, dims, 4)
-    config = InstanceConfig(parameterization="svf", svf_steps=3, iterations=2)
+    config = PipelineConfig(parameterization="svf", svf_steps=3, instance_iterations=2)
     out = optimize_instance(feats, feats, None, None, np.zeros(dims + (3,)), config)
     assert out.shape == dims + (3,)
     np.testing.assert_allclose(out, 0.0, atol=1e-10)
 
 
-def test_config_validation():
-    with pytest.raises(ShapeMismatch):
-        InstanceConfig(lambda_sim=-1.0)
-    with pytest.raises(ShapeMismatch):
-        InstanceConfig(intensity_term="mi")
-    with pytest.raises(ShapeMismatch):
-        InstanceConfig(intensity_term="lncc", lncc_window=4)
-    with pytest.raises(ShapeMismatch):
-        InstanceConfig(parameterization="bspline")
-
-
 def test_intensity_term_requires_images():
     rng = np.random.default_rng(7)
     feats = random_features(rng, (4, 4, 4), 4)
-    config = InstanceConfig(intensity_term="ncc")
+    config = PipelineConfig(intensity_term="ncc")
     with pytest.raises(ShapeMismatch):
         instance_objective(np.zeros((4, 4, 4, 3)), feats, feats, None, None, config)
