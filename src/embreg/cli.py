@@ -38,8 +38,7 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 def _config_from_args(args) -> PipelineConfig:
     config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    apply_overrides(config, getattr(args, "set", None))
-    return config
+    return apply_overrides(config, getattr(args, "set", None))
 
 
 def _write_text(path, text: str) -> None:
@@ -47,15 +46,21 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _read_scalar(path):
+    """Values ``(D, H, W)`` and spacing of a one-channel VOL1 volume, such as intensity or labels."""
+    vol = read_vol1(path)
+    if vol.values.shape[3] != 1:
+        raise CorruptContainer(f"{path}: a scalar volume needs 1 channel, got {vol.values.shape[3]}")
+    return vol.values[..., 0], vol.spacing
+
+
 def _load_bundle(directory: Path) -> Bundle:
     features = read_vol1(directory / "features.vol1")
-    intensity = read_vol1(directory / "intensity.vol1")
     labels_path = directory / "labels.vol1"
-    labels = read_vol1(labels_path).values[..., 0] if labels_path.exists() else None
     return Bundle(
         features=features.values,
-        intensity=intensity.values[..., 0],
-        labels=labels,
+        intensity=_read_scalar(directory / "intensity.vol1")[0],
+        labels=_read_scalar(labels_path)[0] if labels_path.exists() else None,
         spacing=features.spacing,
     )
 
@@ -196,9 +201,8 @@ def _load_transform(directory: Path) -> CompositeTransform:
 
 def cmd_eval(args) -> int:
     transform = _load_transform(Path(args.transform))
-    moving_labels = read_vol1(args.moving_labels).values[..., 0]
-    fixed_vol = read_vol1(args.fixed_labels)
-    fixed_labels = fixed_vol.values[..., 0]
+    moving_labels, _ = _read_scalar(args.moving_labels)
+    fixed_labels, spacing = _read_scalar(args.fixed_labels)
     landmarks = None
     if args.gt_map:
         gt = read_vol1(args.gt_map).values
@@ -211,7 +215,7 @@ def cmd_eval(args) -> int:
         pts_m = gt[pts_f[:, 0].astype(int), pts_f[:, 1].astype(int), pts_f[:, 2].astype(int)]
         landmarks = (pts_m, pts_f)
     final_map = compose(transform, fixed_labels.shape)
-    report = evaluate(final_map, moving_labels, fixed_labels, fixed_vol.spacing, landmarks)
+    report = evaluate(final_map, moving_labels, fixed_labels, spacing, landmarks)
     if args.out:
         _write_text(args.out, report.to_json())
     print(report.format_table())

@@ -9,13 +9,14 @@ from numbers import Integral, Real
 from .errors import ShapeMismatch
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """Every setting of every stage; the stages read their fields from it directly.
 
     Construction checks every field, so a config built in code, read by
-    :func:`load_config` or changed by :func:`set_option` passes the same
-    checks; a failed check raises :class:`~embreg.errors.ShapeMismatch`.
+    :func:`load_config` or derived by :func:`set_option` passes the same
+    checks; a failed check raises :class:`~embreg.errors.ShapeMismatch`. The
+    config is frozen, so no assignment can skip them.
     """
 
     # matching
@@ -86,13 +87,12 @@ def _parse_value(text: str, target_type):
     return value
 
 
-def set_option(config: PipelineConfig, key: str, value: str) -> None:
+def set_option(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
+    """A copy of ``config`` with ``key`` parsed from ``value``; ``config`` is unchanged."""
     types = {field.name: type(field.default) for field in fields(PipelineConfig)}
     if key not in types:
         raise ShapeMismatch(f"unknown configuration key {key!r}")
-    parsed = _parse_value(value, types[key])
-    replace(config, **{key: parsed})  # runs every check before ``config`` changes
-    setattr(config, key, parsed)
+    return replace(config, **{key: _parse_value(value, types[key])})
 
 
 def load_config(path) -> PipelineConfig:
@@ -106,15 +106,15 @@ def load_config(path) -> PipelineConfig:
             if "=" not in line:
                 raise ShapeMismatch(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
-            set_option(config, key.strip(), value)
+            config = set_option(config, key.strip(), value)
     return config
 
 
 def apply_overrides(config: PipelineConfig, overrides) -> PipelineConfig:
-    """Apply ``key=value`` strings (CLI ``--set``) onto a config in place."""
+    """A copy of ``config`` with ``key=value`` strings (CLI ``--set``) applied in order."""
     for item in overrides or []:
         if "=" not in item:
             raise ShapeMismatch(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
-        set_option(config, key.strip(), value)
+        config = set_option(config, key.strip(), value)
     return config

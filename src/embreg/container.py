@@ -8,7 +8,7 @@ offset    size   field
 0         4      magic ``VOL1``
 4         4      dtype code, NUL-padded (``f32``/``f64``/``u16``/``u8``)
 8         16     D, H, W, C as uint32
-24        24     spacing, 3 x float64
+24        24     spacing, 3 x float64, finite and > 0
 48        4      attribute block length (uint32)
 52        var    attributes, UTF-8 ``key=value`` lines
 ...       var    payload, raw values in channel-major (C, D, H, W) order
@@ -18,6 +18,7 @@ offset    size   field
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -47,6 +48,10 @@ class Vol1:
     attrs: dict[str, str] = field(default_factory=dict)
 
 
+def _bad_spacing(spacing) -> bool:
+    return not all(math.isfinite(s) and s > 0 for s in spacing)
+
+
 @contextlib.contextmanager
 def open_atomic(path, mode: str = "wb", encoding: str | None = None):
     """Open a temporary file next to ``path`` for writing; it replaces ``path`` on success.
@@ -72,13 +77,18 @@ def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=
         raise ShapeMismatch(f"values must be (D,H,W) or (D,H,W,C), got {arr.shape}")
     if dtype not in _DTYPES:
         raise ShapeMismatch(f"unsupported dtype code {dtype!r}")
+    if _bad_spacing(spacing):
+        raise ShapeMismatch(f"spacing must be finite and positive, got {tuple(spacing)!r}")
     d, h, w, c = arr.shape
     items = sorted((attrs or {}).items())
     for key, value in items:
         line = f"{key}={value}"
         if "=" in str(key) or line.splitlines() != [line]:
             raise ShapeMismatch(f"attribute {line!r} cannot be read back as one key=value line")
-    attr_text = "".join(f"{k}={v}\n" for k, v in items).encode("utf-8")
+    try:
+        attr_text = "".join(f"{k}={v}\n" for k, v in items).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ShapeMismatch(f"attributes are not encodable as UTF-8 ({exc.reason})") from None
     header = _HEADER.pack(
         _MAGIC,
         dtype.encode("ascii").ljust(4, b"\x00"),
@@ -109,6 +119,8 @@ def read_vol1(path) -> Vol1:
     dtype = dtype_raw.rstrip(b"\x00").decode("ascii", errors="replace")
     if dtype not in _DTYPES:
         raise CorruptContainer(f"{path}: unknown dtype code {dtype!r}")
+    if _bad_spacing((sz, sy, sx)):
+        raise CorruptContainer(f"{path}: spacing must be finite and positive, got {(sz, sy, sx)!r}")
     body = blob[_HEADER.size :]
     if len(body) < attr_len:
         raise CorruptContainer(f"{path}: truncated attribute block")

@@ -15,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InvalidCoordinate, ShapeMismatch
 
@@ -41,10 +42,10 @@ def _as_field(field) -> np.ndarray:
     return arr
 
 
-# Bytes of float64 ``(rows, C)`` values per row block in ``Stencil.sample``,
-# ``Stencil.vjp``, :func:`trilinear_sample` and :func:`normalize_rows` (2048
-# rows at 16 channels), so a block's temporaries stay in a per-core L2 cache
-# instead of streaming whole-grid arrays, and their size does not grow with the grid.
+# Bytes of float64 ``(rows, C)`` values per row block in ``Stencil.vjp``,
+# :func:`trilinear_sample` and :func:`normalize_rows` (2048 rows at 16
+# channels), so a block's temporaries stay in a per-core L2 cache instead of
+# streaming whole-grid arrays, and their size does not grow with the grid.
 _GATHER_BYTES = 256 << 10
 
 
@@ -75,19 +76,20 @@ def normalize_rows(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return safe, masked
 
 
-_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)))  # (8, 3): (dz, dy, dx)
+_CORNERS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int32)  # (8, 3): (dz, dy, dx)
 
 
 class Stencil:
     """The 8-corner trilinear stencil of a set of points on a ``(D, H, W)`` grid.
 
-    Points outside the grid are clamped to the boundary. ``index`` and
-    ``weights`` are ``(8, n)``: flat corner indices into the ``(D*H*W, C)``
-    view of a field and their weights, corners in ``(dz, dy, dx)`` order.
-    ``axis_weights[a]`` holds the low- and high-corner weights along axis
-    ``a``. Built once per coordinate set, the stencil serves sampling, the
-    vector-Jacobian product with respect to the points, and the adjoint
-    scatter onto the grid.
+    Points outside the grid are clamped to the boundary. ``matrix`` is the
+    ``(n, D*H*W)`` CSR interpolation matrix, 8 entries a row: sampling is
+    ``matrix @ F`` and the adjoint scatter ``matrix.T @ G``. ``index`` and
+    ``weights`` are ``(n, 8)`` views of its column indices and values, corners
+    in ``(dz, dy, dx)`` order. ``axis_weights[a]`` holds the low- and
+    high-corner weights along axis ``a``. Built once per coordinate set, the
+    stencil serves sampling, the vector-Jacobian product with respect to the
+    points, and the adjoint scatter onto the grid.
     """
 
     def __init__(self, points, dims):
@@ -101,21 +103,28 @@ class Stencil:
         self.interior = axes > 0.0
         self.interior &= axes < grid - 1.0
         clamped = np.clip(axes, 0.0, grid - 1.0, out=axes)
-        base = clamped.astype(np.int64)  # floor: clamped >= 0
+        base = clamped.astype(np.int32)  # floor: clamped >= 0
         np.minimum(base, np.maximum(grid - 2, 0), out=base)
         frac = np.subtract(clamped, base, out=clamped)
         # The high corner is one step up each axis, or the low corner on an axis of size 1.
-        strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1])
+        strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1], dtype=np.int32)
         corner_offsets = _CORNERS @ np.where(grid[:, 0] > 1, strides, 0)
-        self.index = strides @ base + corner_offsets[:, None]
         n = frac.shape[1]
+        index = np.empty((n, 8), dtype=np.int32)
+        np.add((strides @ base)[:, None], corner_offsets, out=index)
         self.axis_weights = np.empty((3, 2, n))  # (axis, low/high, n)
         np.subtract(1.0, frac, out=self.axis_weights[:, 0])
         self.axis_weights[:, 1] = frac
         wz, wy, wx = self.axis_weights
-        weights = np.empty((2, 2, 2, n))
-        np.multiply(wz[:, None, None] * wy[None, :, None], wx[None, None, :], out=weights)
-        self.weights = weights.reshape(8, n)
+        weights = np.empty((n, 8))
+        by_corner = weights.reshape(n, 2, 2, 2).transpose(1, 2, 3, 0)  # (dz, dy, dx, n) view
+        np.multiply(wz[:, None, None] * wy[None, :, None], wx[None, None, :], out=by_corner)
+        indptr = np.arange(0, 8 * n + 1, 8, dtype=np.int32)
+        self.matrix = sparse.csr_matrix(
+            (weights.ravel(), index.ravel(), indptr), shape=(n, math.prod(self.dims))
+        )
+        self.index = self.matrix.indices.reshape(n, 8)
+        self.weights = self.matrix.data.reshape(n, 8)
 
     def _flat(self, field) -> np.ndarray:
         arr = _as_field(field)
@@ -128,15 +137,7 @@ class Stencil:
 
         Shaped like ``points[..., :-1]``, plus a channel axis for a vector field.
         """
-        flat = self._flat(field)
-        vals = np.zeros((self.index.shape[1], flat.shape[1]))
-        for block in row_blocks(self.index.shape[1], flat.shape[1]):
-            out = vals[block]
-            for k in range(8):
-                corner = flat.take(self.index[k, block], axis=0)
-                corner *= self.weights[k, block, None]
-                out += corner
-        return vals.reshape(self.shape + np.shape(field)[3:])
+        return (self.matrix @ self._flat(field)).reshape(self.shape + np.shape(field)[3:])
 
     def vjp(self, field, g) -> np.ndarray:
         """``d<g, sample(field)>/d(points)``, shaped like the points.
@@ -151,13 +152,13 @@ class Stencil:
         """
         flat = self._flat(field)
         if not callable(g):
-            g_rows = np.asarray(g, dtype=np.float64).reshape(self.index.shape[1], flat.shape[1])
+            g_rows = np.asarray(g, dtype=np.float64).reshape(len(self.index), flat.shape[1])
             g = g_rows.__getitem__
-        dots = np.empty(self.index.shape)
-        for block in row_blocks(self.index.shape[1], flat.shape[1]):
+        dots = np.empty((8, len(self.index)))
+        for block in row_blocks(len(self.index), flat.shape[1]):
             g_block = g(block)
             for k in range(8):
-                corner = flat.take(self.index[k, block], axis=0)
+                corner = flat.take(self.index[block, k], axis=0)
                 dots[k, block] = np.einsum("nc,nc->n", corner, g_block)
         # d(weight)/d(coordinate) is -1 for the low and +1 for the high corner
         # along that axis, times the other two axes' weights.
@@ -177,13 +178,7 @@ class Stencil:
         """Transpose of :meth:`sample`: scatter ``g`` (shaped like the samples) onto the grid."""
         g = np.asarray(g, dtype=np.float64)
         channels = g.shape[len(self.shape):]
-        g = g.reshape(self.index.shape[1], math.prod(channels))
-        size = math.prod(self.dims)
-        out = np.empty((size, g.shape[1]))
-        for c in range(g.shape[1]):
-            out[:, c] = np.bincount(
-                self.index.ravel(), weights=(self.weights * g[:, c]).ravel(), minlength=size
-            )
+        out = self.matrix.T @ g.reshape(len(self.index), math.prod(channels))
         return out.reshape(self.dims + channels)
 
 
@@ -225,8 +220,8 @@ def trilinear_corners(points, dims):
     ``(N, 8)``, corners in :class:`Stencil` order.
     """
     stencil = Stencil(points, dims)
-    corners = np.stack(np.unravel_index(stencil.index.T, stencil.dims), axis=-1)
-    return corners, stencil.weights.T
+    corners = np.stack(np.unravel_index(stencil.index, stencil.dims), axis=-1)
+    return corners, stencil.weights
 
 
 def identity_grid(dims) -> np.ndarray:

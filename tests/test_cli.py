@@ -1,4 +1,6 @@
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -478,4 +480,64 @@ def test_eval_gt_map_on_another_grid_exits_3(synth_pair, tmp_path, gt_shape, cap
     )
     assert rc == 3
     assert "ground-truth map" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _identity_transform(directory):
+    from embreg.affine import AffineTransform
+
+    (directory / "affine.json").write_text(AffineTransform.identity().to_json())
+    (directory / "transform.json").write_text(json.dumps({"affine": "affine.json"}))
+
+
+def test_eval_label_spacing_not_finite_and_positive_exits_3(synth_pair, tmp_path, capsys):
+    _identity_transform(tmp_path)
+    fixed = tmp_path / "fixed_labels.vol1"
+    blob = bytearray((synth_pair / "fixed/labels.vol1").read_bytes())
+    blob[24:48] = struct.pack("<ddd", float("nan"), 1.0, -2.0)  # the header's spacing
+    fixed.write_bytes(bytes(blob))
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            str(synth_pair / "moving/labels.vol1"),
+            "--fixed-labels",
+            str(fixed),
+            "--gt-map",
+            str(synth_pair / "gt_map.vol1"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "spacing must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["register", "eval"])
+def test_multichannel_intensity_or_labels_exit_3(synth_pair, tmp_path, command, capsys):
+    fixed = tmp_path / "fixed"
+    shutil.copytree(synth_pair / "fixed", fixed)
+    name = {"register": "intensity.vol1", "eval": "labels.vol1"}[command]
+    vol = read_vol1(fixed / name)
+    write_vol1(fixed / name, np.concatenate([vol.values, vol.values], axis=-1), dtype=vol.dtype)
+    out = tmp_path / "out"
+    inputs = {
+        "register": ["--moving-dir", str(synth_pair / "moving"), "--fixed-dir", str(fixed)],
+        "eval": [
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            str(synth_pair / "moving/labels.vol1"),
+            "--fixed-labels",
+            str(fixed / name),
+        ],
+    }[command]
+    _identity_transform(tmp_path)
+    rc = main([command, *inputs, "--out", str(out)])
+    assert rc == 3
+    assert "a scalar volume needs 1 channel, got 2" in capsys.readouterr().err
     assert not out.exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from embreg.config import PipelineConfig, apply_overrides, load_config, set_option
@@ -57,16 +59,14 @@ def test_set_option_bad_boolean():
 
 @pytest.mark.parametrize("text,value", [("true", True), ("1", True), ("off", False), ("NO", False)])
 def test_boolean_spellings(text, value):
-    cfg = PipelineConfig()
-    set_option(cfg, "enable_affine", text)
+    cfg = set_option(PipelineConfig(), "enable_affine", text)
     assert cfg.enable_affine is value
 
 
 def test_apply_overrides_wins_over_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("epsilon = 0.5\n")
-    cfg = load_config(path)
-    apply_overrides(cfg, ["epsilon=0.9", "coarse_reg_weight=2.5"])
+    cfg = apply_overrides(load_config(path), ["epsilon=0.9", "coarse_reg_weight=2.5"])
     assert cfg.epsilon == 0.9
     assert cfg.coarse_reg_weight == 2.5
 
@@ -108,3 +108,12 @@ def test_set_option_checks_the_whole_config_and_keeps_it_on_failure():
     with pytest.raises(ShapeMismatch):
         set_option(cfg, "lncc_window", "4")
     assert cfg.lncc_window == 9
+
+
+def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
+    cfg = PipelineConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.feature_scale = -1.0
+    assert cfg.feature_scale == 1.0
+    assert set_option(cfg, "epsilon", "0.9").epsilon == 0.9
+    assert cfg.epsilon == 0.7

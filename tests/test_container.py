@@ -149,10 +149,24 @@ def test_write_rejects_bad_shapes_and_dtypes(tmp_path):
 
 
 def test_write_rejects_attrs_that_cannot_round_trip(tmp_path):
-    for attrs in ({"a=b": "1"}, {"a": "1\nb=2"}, {"a\rb": "1"}):
+    for attrs in ({"a=b": "1"}, {"a": "1\nb=2"}, {"a\rb": "1"}, {"a": "\ud800"}):
         with pytest.raises(ShapeMismatch):
             write_vol1(tmp_path / "p.vol1", np.zeros((2, 2, 2)), attrs=attrs)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("spacing", [(float("nan"), 1.0, -2.0), (0.0, 1.0, 1.0), (1.0, float("inf"), 1.0)])
+def test_spacing_must_be_finite_and_positive(tmp_path, spacing):
+    with pytest.raises(ShapeMismatch):
+        write_vol1(tmp_path / "t.vol1", np.zeros((2, 2, 2)), spacing=spacing)
+    assert os.listdir(tmp_path) == []
+    path = tmp_path / "t.vol1"
+    write_vol1(path, np.zeros((2, 2, 2)))
+    blob = bytearray(path.read_bytes())
+    blob[24:48] = struct.pack("<ddd", *spacing)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptContainer):
+        read_vol1(path)
 
 
 def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
@@ -173,7 +187,7 @@ _SAMPLES = {
     "u16": st.integers(0, 2**16 - 1),
     "u8": st.integers(0, 2**8 - 1),
 }
-_ATTR_TEXT = st.text(st.characters(blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+_ATTR_TEXT = st.text(st.characters(codec="utf-8", blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
 
 
 @st.composite
@@ -181,7 +195,7 @@ def volumes(draw):
     dtype = draw(st.sampled_from(sorted(_SAMPLES)))
     shape = draw(st.tuples(*[st.integers(1, 4)] * 4))
     flat = draw(st.lists(_SAMPLES[dtype], min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
-    spacing = draw(st.tuples(*[st.floats(allow_nan=False)] * 3))
+    spacing = draw(st.tuples(*[st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)] * 3))
     attrs = draw(st.dictionaries(_ATTR_TEXT.filter(lambda k: "=" not in k), _ATTR_TEXT, max_size=3))
     return np.array(flat, dtype=np.float64).reshape(shape), dtype, spacing, attrs
 

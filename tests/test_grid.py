@@ -237,6 +237,18 @@ def test_stencil_sample_matches_brute_force(case):
     np.testing.assert_allclose(by_corners, got, atol=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases(), st.sampled_from([1, 3, 16]))
+def test_stencil_sample_is_the_in_order_corner_sum(case, channels):
+    dims, _, pts, seed = case
+    field = np.random.default_rng(seed).normal(size=dims + (channels,))
+    corners, weights = trilinear_corners(pts, dims)
+    want = np.zeros((len(pts), channels))
+    for k in range(8):  # corners in (dz, dy, dx) order, summed from zero
+        want += weights[:, k, None] * field[corners[:, k, 0], corners[:, k, 1], corners[:, k, 2]]
+    assert Stencil(pts, dims).sample(field).tobytes() == want.tobytes()
+
+
 def test_stencil_rejects_field_on_another_grid():
     stencil = Stencil(np.zeros((2, 3)), (3, 3, 3))
     with pytest.raises(ShapeMismatch):
