@@ -11,7 +11,12 @@ from .errors import ShapeMismatch
 
 @dataclass
 class Bundle:
-    """Feature map plus intensity (and optional labels) on one grid."""
+    """Feature map plus intensity (and optional labels) on one grid.
+
+    ``features`` and ``intensity`` are stored as C-contiguous float64: a
+    contiguous float64 input is kept as is, any other is copied once here,
+    so the kernels reshape them into views instead of copying per call.
+    """
 
     features: np.ndarray
     intensity: np.ndarray
@@ -19,10 +24,12 @@ class Bundle:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        f = np.asarray(self.features, dtype=np.float64)
-        i = np.asarray(self.intensity, dtype=np.float64)
+        f = np.ascontiguousarray(self.features, dtype=np.float64)
+        i = np.ascontiguousarray(self.intensity, dtype=np.float64)
         if f.ndim != 4:
             raise ShapeMismatch(f"features must be (D,H,W,C), got {f.shape}")
+        if f.size == 0:
+            raise ShapeMismatch(f"feature map must not be empty: {f.shape}")
         if i.shape != f.shape[:3]:
             raise ShapeMismatch(f"intensity grid {i.shape} != feature grid {f.shape[:3]}")
         if self.labels is not None and np.asarray(self.labels).shape != f.shape[:3]:

@@ -101,7 +101,8 @@ def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=
         float(spacing[2]),
         len(attr_text),
     )
-    payload = np.ascontiguousarray(np.moveaxis(arr, -1, 0)).astype(_DTYPES[dtype]).tobytes()
+    # One copy: channel-major, in the file's dtype, written through the buffer protocol.
+    payload = np.moveaxis(arr, -1, 0).astype(_DTYPES[dtype], order="C")
     with open_atomic(path) as fh:
         fh.write(header)
         fh.write(attr_text)
@@ -109,8 +110,13 @@ def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=
 
 
 def read_vol1(path) -> Vol1:
+    """Decode a VOL1 file into C-contiguous ``(D, H, W, C)`` values.
+
+    The values are float64 for ``f32``/``f64`` and int64 for ``u16``/``u8``.
+    The payload is copied once, from the file's bytes into that layout.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = memoryview(fh.read())
     if len(blob) < 4 or blob[:4] != _MAGIC:
         raise NotVol1(f"{path}: missing VOL1 magic")
     if len(blob) < _HEADER.size:
@@ -121,11 +127,11 @@ def read_vol1(path) -> Vol1:
         raise CorruptContainer(f"{path}: unknown dtype code {dtype!r}")
     if _bad_spacing((sz, sy, sx)):
         raise CorruptContainer(f"{path}: spacing must be finite and positive, got {(sz, sy, sx)!r}")
-    body = blob[_HEADER.size :]
-    if len(body) < attr_len:
+    payload_start = _HEADER.size + attr_len
+    if len(blob) < payload_start:
         raise CorruptContainer(f"{path}: truncated attribute block")
     try:
-        attr_text = body[:attr_len].decode("utf-8")
+        attr_text = str(blob[_HEADER.size : payload_start], "utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptContainer(f"{path}: attribute block is not UTF-8 ({exc.reason})") from None
     attrs: dict[str, str] = {}
@@ -138,14 +144,16 @@ def read_vol1(path) -> Vol1:
         attrs[key] = value
     np_dtype = _DTYPES[dtype]
     expected = np_dtype.itemsize * d * h * w * c
-    payload = body[attr_len:]
+    payload = blob[payload_start:]
     if len(payload) != expected:
         raise CorruptContainer(
             f"{path}: payload length {len(payload)} != expected {expected}"
         )
     arr = np.frombuffer(payload, dtype=np_dtype).reshape(c, d, h, w)
     return Vol1(
-        values=np.moveaxis(arr, 0, -1).astype(np.float64 if dtype in ("f32", "f64") else np.int64),
+        values=np.moveaxis(arr, 0, -1).astype(
+            np.float64 if dtype in ("f32", "f64") else np.int64, order="C"
+        ),
         spacing=(sz, sy, sx),
         dtype=dtype,
         attrs=attrs,

@@ -177,8 +177,8 @@ def make_pair(
         spacing=spacing,
     )
     fixed = Bundle(
-        features=np.asarray(features, dtype=np.float64),
-        intensity=np.asarray(intensity, dtype=np.float64),
+        features=features,
+        intensity=intensity,
         labels=np.asarray(labels),
         spacing=spacing,
     )

@@ -18,7 +18,8 @@ class CompositeTransform:
     """Affine, coarse, and dense stages of a fixed-to-moving map.
 
     ``coarse`` and ``dense`` are dense displacement fields on the fixed
-    grid (``(D, H, W, 3)``) or ``None`` for an identity stage.
+    grid (``(D, H, W, 3)``) or ``None`` for an identity stage, stored as
+    C-contiguous float64 (copied only when the input is not).
     """
 
     affine: AffineTransform
@@ -30,7 +31,7 @@ class CompositeTransform:
             f = getattr(self, name)
             if f is None:
                 continue
-            arr = np.asarray(f, dtype=np.float64)
+            arr = np.ascontiguousarray(f, dtype=np.float64)
             if arr.ndim != 4 or arr.shape[-1] != 3:
                 raise ShapeMismatch(f"{name} field must be (D,H,W,3), got {arr.shape}")
             if not np.all(np.isfinite(arr)):

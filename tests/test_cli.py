@@ -286,6 +286,41 @@ def test_eval_landmark_error_uses_label_spacing(tmp_path):
     assert json.loads(out.read_text())["mean_landmark_error"] == pytest.approx(2.0)
 
 
+def test_register_fields_are_byte_identical_to_run_pipeline(tmp_path):
+    from embreg.affine import AffineTransform
+    from embreg.cli import _write_bundle
+    from embreg.config import PipelineConfig
+    from embreg.pipeline import run_pipeline
+    from embreg.synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
+
+    spec = SynthSpec(dims=(14, 14, 14), channels=8, warp_amplitude=1.0, seed=11)
+    features, labels, intensity = make_atlas(spec)
+    affine = AffineTransform.from_linear_translation(np.eye(3), [1.0, -0.5, 0.25])
+    moving, fixed, _ = make_pair(features, labels, intensity, random_smooth_warp(spec), affine)
+    _write_bundle(tmp_path / "moving", moving)
+    _write_bundle(tmp_path / "fixed", fixed)
+    settings = ["match_step=2", "coarse_iterations=40", "instance_iterations=5"]
+    rc = main(
+        [
+            "register",
+            "--moving-dir",
+            str(tmp_path / "moving"),
+            "--fixed-dir",
+            str(tmp_path / "fixed"),
+            "--out",
+            str(tmp_path / "reg"),
+            *[arg for setting in settings for arg in ("--set", setting)],
+        ]
+    )
+    assert rc == 0
+    config = PipelineConfig(match_step=2, coarse_iterations=40, instance_iterations=5)
+    transform, _, _ = run_pipeline(config, moving, fixed)
+    for name, field in (("coarse_dense", transform.coarse), ("dense", transform.dense)):
+        written = read_vol1(tmp_path / "reg" / f"{name}.vol1").values
+        assert written.shape == field.shape
+        assert written.tobytes() == field.tobytes(), name
+
+
 def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
     from embreg.cli import _load_bundle
     from embreg.config import PipelineConfig
@@ -452,6 +487,20 @@ def test_match_empty_feature_map_exits_3(synth_pair, tmp_path, empty_sides, shap
     )
     assert rc == 3
     assert "empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["register", "instance"])
+def test_zero_channel_features_exit_3_when_loaded(synth_pair, tmp_path, command, capsys):
+    for side in ("moving", "fixed"):
+        shutil.copytree(synth_pair / side, tmp_path / side)
+        write_vol1(tmp_path / side / "features.vol1", np.zeros((14, 14, 14, 0)))
+    out = tmp_path / "out"
+    dirs = ["--moving-dir", str(tmp_path / "moving"), "--fixed-dir", str(tmp_path / "fixed")]
+    rc = main([command, *dirs, "--out", str(out)])
+    assert rc == 3
+    # rejected as the bundle is loaded, before any stage runs
+    assert capsys.readouterr().err.startswith("error: feature map must not be empty")
     assert not out.exists()
 
 

@@ -83,6 +83,29 @@ def test_payload_is_channel_major(tmp_path):
     np.testing.assert_array_equal(values, [1.0, 2.0, 3.0, 4.0])
 
 
+def test_write_vol1_bytes_are_pinned(tmp_path):
+    field = np.arange(24, dtype=np.float64).reshape(1, 2, 3, 4)  # (D, H, W, C)
+    path = tmp_path / "pinned.vol1"
+    write_vol1(path, field, spacing=(2.0, 1.0, 0.5), attrs={"stride": "4", "kind": "field"})
+    attrs = b"kind=field\nstride=4\n"
+    header = struct.pack("<4s4sIIIIdddI", b"VOL1", b"f64\x00", 1, 2, 3, 4, 2.0, 1.0, 0.5, len(attrs))
+    payload = b"".join(
+        struct.pack("<d", field[0, y, x, c]) for c in range(4) for y in range(2) for x in range(3)
+    )
+    assert path.read_bytes() == header + attrs + payload
+
+
+@pytest.mark.parametrize("channels", [1, 3, 16])
+@pytest.mark.parametrize("dtype", ["f64", "f32", "u16", "u8"])
+def test_read_values_are_c_contiguous(tmp_path, dtype, channels):
+    values = np.arange(4 * 5 * 6 * channels, dtype=np.float64).reshape(4, 5, 6, channels) % 200
+    path = tmp_path / "layout.vol1"
+    write_vol1(path, values, dtype=dtype)
+    back = read_vol1(path).values
+    assert back.flags.c_contiguous
+    np.testing.assert_array_equal(back, values)
+
+
 def test_bad_magic_raises_not_vol1(tmp_path):
     path = tmp_path / "h.vol1"
     path.write_bytes(b"NOPE" + b"\x00" * 60)

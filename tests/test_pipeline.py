@@ -125,6 +125,28 @@ def test_bundle_rejects_non_finite_inputs(part):
         Bundle(features=features, intensity=intensity)
 
 
+def test_bundle_rejects_zero_channel_features():
+    with pytest.raises(ShapeMismatch, match="empty"):
+        Bundle(features=np.zeros((4, 4, 4, 0)), intensity=np.ones((4, 4, 4)))
+
+
+def test_bundle_keeps_contiguous_inputs_and_copies_strided_ones():
+    rng = np.random.default_rng(3)
+    features = rng.normal(size=(4, 5, 6, 3))
+    intensity = rng.normal(size=(4, 5, 6))
+    kept = Bundle(features=features, intensity=intensity)
+    assert kept.features is features and kept.intensity is intensity
+
+    channel_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(features, -1, 0)), 0, -1)
+    fortran = np.asfortranarray(intensity)
+    copied = Bundle(features=channel_major, intensity=fortran)
+    assert copied.features.flags.c_contiguous and copied.intensity.flags.c_contiguous
+    assert not np.shares_memory(copied.features, channel_major)
+    assert not np.shares_memory(copied.intensity, fortran)
+    np.testing.assert_array_equal(copied.features, features)
+    np.testing.assert_array_equal(copied.intensity, intensity)
+
+
 def test_pipeline_final_map_matches_compose_of_returned_transform():
     moving, fixed, _, _ = synth_case(seed=7, dims=(12, 12, 12))
     transform, _, artifacts = run_pipeline(fast_config(instance_iterations=5), moving, fixed)

@@ -156,6 +156,21 @@ def test_composite_rejects_mismatched_stage_grids():
         )
 
 
+def test_composite_keeps_contiguous_fields_and_copies_strided_ones():
+    rng = np.random.default_rng(5)
+    field = rng.normal(size=(4, 5, 6, 3))
+    kept = CompositeTransform(affine=AffineTransform.identity(), coarse=field, dense=field)
+    assert kept.coarse is field and kept.dense is field
+
+    fortran = np.asfortranarray(field)
+    channel_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(field, -1, 0)), 0, -1)
+    copied = CompositeTransform(affine=AffineTransform.identity(), coarse=fortran, dense=channel_major)
+    for stored, given_view in ((copied.coarse, fortran), (copied.dense, channel_major)):
+        assert stored.flags.c_contiguous
+        assert not np.shares_memory(stored, given_view)
+        np.testing.assert_array_equal(stored, field)
+
+
 def test_compose_rejects_dense_field_on_another_grid():
     t = CompositeTransform(affine=AffineTransform.identity(), dense=np.zeros((4, 4, 4, 3)))
     with pytest.raises(ShapeMismatch):
