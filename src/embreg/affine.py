@@ -70,16 +70,9 @@ class AffineTransform:
         return cls(np.array(values, dtype=np.float64).reshape(4, 4))
 
 
-def fit_affine(matches: MatchSet, scale: float = 1.0) -> AffineTransform:
-    """Least-squares affine mapping moving points onto fixed points.
-
-    ``scale`` converts feature-grid coordinates to image-grid voxels
-    before fitting (1.0 when both grids coincide).
-    """
-    return fit_affine_points(
-        matches.moving.astype(np.float64) * float(scale),
-        matches.fixed.astype(np.float64) * float(scale),
-    )
+def fit_affine(matches: MatchSet) -> AffineTransform:
+    """Least-squares affine mapping moving points onto fixed points."""
+    return fit_affine_points(matches.moving.astype(np.float64), matches.fixed.astype(np.float64))
 
 
 def fit_affine_points(moving_points, fixed_points) -> AffineTransform:

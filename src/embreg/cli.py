@@ -14,13 +14,13 @@ import numpy as np
 
 from .affine import AffineTransform, fit_affine
 from .bundle import Bundle
-from .coarse import CoarseField, upsample_coarse
+from .coarse import CoarseField, optimize_coarse, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import open_atomic, read_vol1, write_vol1
 from .errors import CorruptContainer, NumericalDivergence, RegistrationError, ShapeMismatch
 from .matching import load_matches, save_matches, select_points
 from .metrics import dice  # noqa: F401  (perfbench/tracer.py wraps this name here)
-from .pipeline import coarse_stage, evaluate, instance_stage, match_stage, run_pipeline
+from .pipeline import evaluate, instance_stage, match_stage, run_pipeline
 from .synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
@@ -37,8 +37,8 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
-    return apply_overrides(config, getattr(args, "set", None))
+    config = load_config(args.config) if args.config else PipelineConfig()
+    return apply_overrides(config, args.set)
 
 
 def _write_text(path, text: str) -> None:
@@ -122,9 +122,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_affine(args) -> int:
-    config = _config_from_args(args)
-    matches = load_matches(args.matches)
-    transform = fit_affine(matches, scale=config.feature_scale)
+    transform = fit_affine(load_matches(args.matches))
     _write_text(args.out, transform.to_json())
     print(f"affine -> {args.out}")
     return 0
@@ -135,7 +133,7 @@ def cmd_coarse(args) -> int:
     matches = load_matches(args.matches)
     affine = AffineTransform.from_json(Path(args.affine).read_bytes())
     dims = read_vol1(args.fixed_features).values.shape[:3]
-    field = coarse_stage(config, matches, affine, dims)
+    field = optimize_coarse(matches, affine, dims, config)
     write_vol1(args.out, field.lattice, attrs={"stride": str(field.stride)})
     print(f"coarse lattice {field.lattice.shape[:3]} -> {args.out}")
     return 0
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("affine", help="least-squares affine from matches")
     p.add_argument("--matches", required=True)
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(func=cmd_affine)
 
     p = sub.add_parser("coarse", help="regularized coarse displacement from matches")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .affine import AffineTransform, apply_affine, invert_affine
 from .config import PipelineConfig
-from .descent import descend, smoothness
+from .descent import TOL, descend, smoothness
 from .errors import EmptyMatchSet, ShapeMismatch
 from .grid import Stencil, identity_grid, trilinear_sample
 from .grid import trilinear_corners  # noqa: F401  (perfbench/tracer.py wraps this name here)
@@ -94,8 +94,8 @@ def optimize_coarse(
 ) -> CoarseField:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`) from the zero lattice.
 
-    Reads ``coarse_stride``, ``coarse_reg_weight``, ``coarse_iterations`` and
-    ``coarse_tol`` from ``config``; the matches are in image-grid voxels.
+    Reads ``coarse_stride``, ``coarse_reg_weight`` and ``coarse_iterations``
+    from ``config``; the matches are in image-grid voxels.
     """
     stride = config.coarse_stride
     start = CoarseField(stride=stride, lattice=np.zeros(lattice_dims(grid_dims, stride) + (3,)))
@@ -105,7 +105,7 @@ def optimize_coarse(
         lambda lat: _coarse_loss(lat, *targets, config.coarse_reg_weight),
         start.lattice,
         config.coarse_iterations,
-        config.coarse_tol,
+        TOL,
     )
     return CoarseField(stride=start.stride, lattice=lattice)
 

@@ -23,12 +23,10 @@ class PipelineConfig:
     match_step: int = 4
     sscc_iterations: int = 5
     epsilon: float = 0.7
-    feature_scale: float = 1.0  # image voxels per feature-grid voxel
     # coarse stage
     coarse_stride: int = 4
     coarse_reg_weight: float = 1.0
     coarse_iterations: int = 200
-    coarse_tol: float = 1e-6
     # instance stage
     lambda_sim: float = 1.0
     lambda_reg: float = 1.0
@@ -37,7 +35,6 @@ class PipelineConfig:
     parameterization: str = "displacement"
     svf_steps: int = 7
     instance_iterations: int = 100
-    instance_tol: float = 1e-6
     # stage gating
     enable_affine: bool = True
     enable_coarse: bool = True
@@ -55,9 +52,7 @@ class PipelineConfig:
             if not ok:
                 qualifier = " finite" if kind is float else ""
                 raise ShapeMismatch(f"{field.name} must be a{qualifier} {kind.__name__}, got {value!r}")
-        if self.feature_scale <= 0:
-            raise ShapeMismatch(f"feature_scale must be > 0, got {self.feature_scale!r}")
-        for name in ("coarse_reg_weight", "coarse_tol", "lambda_sim", "lambda_reg"):
+        for name in ("coarse_reg_weight", "lambda_sim", "lambda_reg"):
             if getattr(self, name) < 0:
                 raise ShapeMismatch(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("coarse_iterations", "instance_iterations"):

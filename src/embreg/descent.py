@@ -10,6 +10,7 @@ import numpy as np
 from .errors import NumericalDivergence
 
 HALVINGS = 31  # trial steps per iteration, halving the step after each rejection
+TOL = 1e-6  # the optimizers stop when no gradient component reaches this
 
 log = logging.getLogger(__name__)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PipelineConfig
-from .descent import descend, smoothness
+from .descent import TOL, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
 from .grid import Stencil, identity_grid, normalize_rows
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
@@ -153,8 +153,8 @@ def optimize_instance(feats_m, feats_f, img_m, img_f, init, config: PipelineConf
     (zero when there is no prior stage). In velocity mode the returned
     field is the integrated displacement. Reads ``lambda_sim``,
     ``lambda_reg``, ``intensity_term``, ``lncc_window``,
-    ``parameterization``, ``svf_steps``, ``instance_iterations`` and
-    ``instance_tol`` from ``config``.
+    ``parameterization``, ``svf_steps`` and ``instance_iterations`` from
+    ``config``.
     """
     field = np.array(init, dtype=np.float64)
     if field.ndim != 4 or field.shape[-1] != 3:
@@ -164,7 +164,7 @@ def optimize_instance(feats_m, feats_f, img_m, img_f, init, config: PipelineConf
         lambda f: _loss(f, feats_m, *fixed, img_m, img_f, config),
         field,
         config.instance_iterations,
-        config.instance_tol,
+        TOL,
     )
     if config.parameterization == "svf":
         return integrate_svf(field, config.svf_steps)

@@ -33,17 +33,6 @@ def match_stage(config: PipelineConfig, feats_moving, feats_fixed) -> MatchSet:
     return filter_matches(matches, config.epsilon)
 
 
-def coarse_stage(config: PipelineConfig, matches: MatchSet, affine: AffineTransform, dims):
-    """Coarse lattice fitted to feature-grid matches converted to image-grid voxels."""
-    if config.feature_scale != 1.0:
-        matches = MatchSet(
-            moving=np.rint(matches.moving * config.feature_scale).astype(np.int64),
-            fixed=np.rint(matches.fixed * config.feature_scale).astype(np.int64),
-            scores=matches.scores,
-        )
-    return optimize_coarse(matches, affine, dims, config)
-
-
 def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine, coarse_dense):
     """Fit the instance field after the affine and coarse stages; returns ``(dense, pre_map)``."""
     dims = fixed.dims
@@ -112,14 +101,14 @@ def run_pipeline(
     affine = AffineTransform.identity()
     if config.enable_affine:
         t0 = time.perf_counter()
-        affine = _stage("affine", lambda: fit_affine(matches, scale=config.feature_scale))
+        affine = _stage("affine", lambda: fit_affine(matches))
         timings["affine"] = time.perf_counter() - t0
     artifacts["affine"] = affine
 
     coarse_dense = None
     if config.enable_coarse:
         t0 = time.perf_counter()
-        coarse_field = _stage("coarse", lambda: coarse_stage(config, matches, affine, dims))
+        coarse_field = _stage("coarse", lambda: optimize_coarse(matches, affine, dims, config))
         coarse_dense = upsample_coarse(coarse_field, dims)
         timings["coarse"] = time.perf_counter() - t0
         artifacts["coarse_field"] = coarse_field

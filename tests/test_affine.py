@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from embreg.affine import (
-    AffineTransform,
-    apply_affine,
-    fit_affine,
-    fit_affine_points,
-    invert_affine,
-)
+from embreg.affine import AffineTransform, apply_affine, fit_affine_points, invert_affine
 from embreg.errors import CorruptContainer, DegenerateMatches, ShapeMismatch, SingularAffine
-from embreg.matching import MatchSet
 
 
 def random_affine(rng, scale=0.2, shift=3.0):
@@ -53,17 +46,6 @@ def test_fit_recovers_exact_affine():
     t = random_affine(rng)
     pts = rng.uniform(0, 10, size=(12, 3))
     fitted = fit_affine_points(pts, apply_affine(t, pts))
-    np.testing.assert_allclose(fitted.matrix, t.matrix, atol=1e-9)
-
-
-def test_fit_from_matchset_with_scale():
-    rng = np.random.default_rng(3)
-    t = AffineTransform.from_linear_translation(np.eye(3), [2.0, 0.0, -4.0])
-    moving = rng.integers(0, 8, size=(20, 3))
-    fixed_float = apply_affine(t, moving.astype(float) * 2.0) / 2.0
-    fixed = np.round(fixed_float).astype(int)
-    ms = MatchSet(moving=moving, fixed=fixed, scores=np.ones(20))
-    fitted = fit_affine(ms, scale=2.0)
     np.testing.assert_allclose(fitted.matrix, t.matrix, atol=1e-9)
 
 

@@ -252,6 +252,26 @@ def test_bad_config_key_exits_3(synth_pair, tmp_path, setting):
     assert rc == 3
 
 
+@pytest.mark.parametrize("setting", ["feature_scale=2", "coarse_tol=1e-3", "instance_tol=1e-3"])
+def test_removed_config_key_exits_3(synth_pair, tmp_path, setting, capsys):
+    rc = main(
+        [
+            "match",
+            "--moving-features",
+            str(synth_pair / "moving/features.vol1"),
+            "--fixed-features",
+            str(synth_pair / "fixed/features.vol1"),
+            "--out",
+            str(tmp_path / "m.txt"),
+            "--set",
+            setting,
+        ]
+    )
+    assert rc == 3
+    assert f"unknown configuration key {setting.split('=')[0]!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_eval_landmark_error_uses_label_spacing(tmp_path):
     from embreg.affine import AffineTransform
     from embreg.grid import identity_grid
@@ -327,9 +347,7 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
     from embreg.matching import save_matches
     from embreg.pipeline import run_pipeline
 
-    config = PipelineConfig(
-        match_step=2, coarse_iterations=40, feature_scale=2.0, enable_instance=False
-    )
+    config = PipelineConfig(match_step=2, coarse_iterations=40, enable_instance=False)
     moving = _load_bundle(synth_pair / "moving")
     fixed = _load_bundle(synth_pair / "fixed")
     _, _, artifacts = run_pipeline(config, moving, fixed)
@@ -349,8 +367,6 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
             str(tmp_path / "coarse.vol1"),
             "--set",
             "coarse_iterations=40",
-            "--set",
-            "feature_scale=2",
         ]
     )
     assert rc == 0
@@ -424,6 +440,16 @@ def test_affine_malformed_matches_exits_3(tmp_path, content, capsys):
     rc = main(["affine", "--matches", str(matches), "--out", str(tmp_path / "affine.json")])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "affine.json").exists()
+
+
+@pytest.mark.parametrize("option", [["--set", "epsilon=0.5"], ["--config", "run.cfg"]])
+def test_affine_takes_no_settings(tmp_path, option):
+    matches = tmp_path / "matches.txt"
+    matches.write_text("1 1 1 1 1 1 0.9\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["affine", "--matches", str(matches), "--out", str(tmp_path / "affine.json"), *option])
+    assert excinfo.value.code == 2
     assert not (tmp_path / "affine.json").exists()
 
 

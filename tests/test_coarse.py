@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,19 @@ def test_optimize_descends_monotonically_and_recovers_translation():
     interior = field.lattice[1:-1, 1:-1, 1:-1].reshape(-1, 3)
     np.testing.assert_allclose(interior.mean(axis=0), -np.asarray(t, float), atol=0.2)
     assert np.max(np.abs(interior - interior.mean(axis=0))) < 0.5
+
+
+def test_optimize_stops_at_the_gradient_tolerance(caplog):
+    rng = np.random.default_rng(0)
+    dims = (16, 16, 16)
+    ms = translated_matches(rng, dims, (2, -1, 1))
+    config = PipelineConfig()
+    with caplog.at_level(logging.DEBUG, logger="embreg.descent"):
+        optimize_coarse(ms, AffineTransform.identity(), dims, config)
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "embreg.descent"]
+    assert message.endswith("stop tol")
+    evaluations = int(re.match(r"descend: (\d+) evaluations", message).group(1))
+    assert evaluations < config.coarse_iterations
 
 
 def test_zero_reg_weight_allows_larger_displacements_than_strong_reg():

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -81,12 +83,8 @@ def test_apply_overrides_rejects_malformed_item():
     [
         # the values `--set` rejects in tests/test_cli.py::test_bad_config_key_exits_3
         {"match_step": "abc"},
-        {"feature_scale": float("nan")},
-        {"feature_scale": -1.0},
-        {"feature_scale": 0.0},
         {"coarse_reg_weight": float("nan")},
         {"lambda_sim": float("inf")},
-        {"instance_tol": float("nan")},
         # stage settings no stage can run with
         {"lambda_sim": -1.0},
         {"intensity_term": "mi"},
@@ -113,7 +111,27 @@ def test_set_option_checks_the_whole_config_and_keeps_it_on_failure():
 def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
     cfg = PipelineConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.feature_scale = -1.0
-    assert cfg.feature_scale == 1.0
+        cfg.epsilon = -1.0
+    assert cfg.epsilon == 0.7
     assert set_option(cfg, "epsilon", "0.9").epsilon == 0.9
     assert cfg.epsilon == 0.7
+
+
+@pytest.mark.parametrize("key", ["feature_scale", "coarse_tol", "instance_tol"])
+def test_removed_keys_are_not_fields(key):
+    with pytest.raises(TypeError):
+        PipelineConfig(**{key: 2.0})
+
+
+def test_every_config_field_is_read_by_a_stage():
+    # A field that no module reads is a setting that changes nothing.
+    package = Path(__file__).resolve().parent.parent / "src" / "embreg"
+    source = "\n".join(
+        path.read_text(encoding="utf-8") for path in package.glob("*.py") if path.name != "config.py"
+    )
+    unread = [
+        field.name
+        for field in dataclasses.fields(PipelineConfig)
+        if not re.search(rf"\bconfig\.{field.name}\b", source)
+    ]
+    assert unread == []
