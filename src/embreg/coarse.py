@@ -106,6 +106,7 @@ def optimize_coarse(
         start.lattice,
         config.coarse_iterations,
         TOL,
+        progress=0.0,  # cheap, and cutting it short loses accuracy
     )
     return CoarseField(stride=start.stride, lattice=lattice)
 

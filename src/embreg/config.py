@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 from .errors import ShapeMismatch
+from .transform import MAX_SVF_STEPS
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,14 @@ class PipelineConfig:
         for name in ("coarse_reg_weight", "lambda_sim", "lambda_reg"):
             if getattr(self, name) < 0:
                 raise ShapeMismatch(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("coarse_iterations", "instance_iterations"):
+        for name in (
+            "match_step", "sscc_iterations", "coarse_stride", "coarse_iterations", "svf_steps",
+            "instance_iterations",
+        ):
             if getattr(self, name) < 1:
                 raise ShapeMismatch(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.svf_steps > MAX_SVF_STEPS:
+            raise ShapeMismatch(f"svf_steps must be <= {MAX_SVF_STEPS}, got {self.svf_steps!r}")
         if self.intensity_term not in ("none", "ncc", "lncc"):
             raise ShapeMismatch(f"unknown intensity term {self.intensity_term!r}")
         if self.intensity_term == "lncc" and (self.lncc_window < 3 or self.lncc_window % 2 == 0):
@@ -93,15 +99,18 @@ def set_option(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
 def load_config(path) -> PipelineConfig:
     """Read a flat UTF-8 ``key = value`` file; ``#`` starts a comment."""
     config = PipelineConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ShapeMismatch(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            config = set_option(config, key.strip(), value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ShapeMismatch(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                key, _, value = line.partition("=")
+                config = set_option(config, key.strip(), value)
+    except UnicodeDecodeError as exc:
+        raise ShapeMismatch(f"{path}: not UTF-8 text ({exc.reason})") from None
     return config
 
 

@@ -11,11 +11,12 @@ from .errors import NumericalDivergence
 
 HALVINGS = 31  # trial steps per iteration, halving the step after each rejection
 TOL = 1e-6  # the optimizers stop when no gradient component reaches this
+PROGRESS = 7e-4  # the instance descent stops once a step gains less than this share of the decrease
 
 log = logging.getLogger(__name__)
 
 
-def descend(evaluate, x0, iterations: int, tol: float) -> np.ndarray:
+def descend(evaluate, x0, iterations: int, tol: float, progress: float = 0.0) -> np.ndarray:
     """Quasi-Newton descent from ``x0``; returns the last accepted point.
 
     ``evaluate(x)`` returns ``(value, gradient_fn)``; ``gradient_fn()`` reuses
@@ -30,10 +31,14 @@ def descend(evaluate, x0, iterations: int, tol: float) -> np.ndarray:
     used again. Each iteration tries ``x - step * direction`` for ``step`` =
     1, 1/2, 1/4, ... and accepts the first trial whose value does not
     increase. The descent stops when no gradient component reaches ``tol``,
-    when every trial is rejected, or after ``iterations`` iterations; a
-    non-finite value raises :class:`NumericalDivergence`. One DEBUG log line
-    per call gives the evaluations, rejected trials, start and final value
-    and the stop reason (``tol``, ``stall`` or ``cap``).
+    when every trial is rejected, when an accepted trial lowers the value by
+    less than ``progress`` times the decrease from the start (``0`` turns
+    this off; no decrease at all does not stop), or after ``iterations``
+    iterations; a non-finite value raises :class:`NumericalDivergence`. The
+    point accepted last at the ``progress`` stop or the cap is returned
+    without its gradient. One DEBUG log line per call gives the evaluations,
+    rejected trials, start and final value and the stop reason (``tol``,
+    ``stall``, ``progress`` or ``cap``).
     """
     x = x0
     value, gradient = evaluate(x)
@@ -59,12 +64,16 @@ def descend(evaluate, x0, iterations: int, tol: float) -> np.ndarray:
                 raise NumericalDivergence("objective diverged")
             if trial_value <= value:
                 move = np.subtract(trial, x, out=direction)
+                gain = value - trial_value
                 x, value = trial, trial_value
                 break
             rejected += 1
             step *= 0.5
         else:
             stop = "stall"
+            break
+        if gain < progress * (start - value):
+            stop = "progress"
             break
     log.debug(
         "descend: %d evaluations, %d rejected, objective %.6g -> %.6g, stop %s",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PipelineConfig
-from .descent import TOL, descend, smoothness
+from .descent import PROGRESS, TOL, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
 from .grid import Stencil, identity_grid, normalize_rows
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
@@ -154,7 +154,9 @@ def optimize_instance(feats_m, feats_f, img_m, img_f, init, config: PipelineConf
     field is the integrated displacement. Reads ``lambda_sim``,
     ``lambda_reg``, ``intensity_term``, ``lncc_window``,
     ``parameterization``, ``svf_steps`` and ``instance_iterations`` from
-    ``config``.
+    ``config``; ``instance_iterations`` is a cap, and the descent stops
+    earlier once an iteration gains less than :data:`~embreg.descent.PROGRESS`
+    of the decrease so far.
     """
     field = np.array(init, dtype=np.float64)
     if field.ndim != 4 or field.shape[-1] != 3:
@@ -165,6 +167,7 @@ def optimize_instance(feats_m, feats_f, img_m, img_f, init, config: PipelineConf
         field,
         config.instance_iterations,
         TOL,
+        progress=PROGRESS,
     )
     if config.parameterization == "svf":
         return integrate_svf(field, config.svf_steps)

@@ -12,6 +12,8 @@ from .errors import ShapeMismatch
 from .grid import Stencil, identity_grid, trilinear_sample
 from .grid import trilinear_corners, trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps these names here)
 
+MAX_SVF_STEPS = 1023  # the largest squaring count whose scale 2.0**steps is a finite float
+
 
 @dataclass(frozen=True)
 class CompositeTransform:
@@ -51,13 +53,19 @@ def _check_field(v) -> np.ndarray:
     return arr
 
 
+def _scale(steps: int) -> float:
+    """``2**steps`` as a float, for ``steps`` from 1 to :data:`MAX_SVF_STEPS`."""
+    if not 1 <= int(steps) <= MAX_SVF_STEPS:
+        raise ShapeMismatch(f"steps must be from 1 to {MAX_SVF_STEPS}, got {steps}")
+    return 2.0 ** int(steps)
+
+
 def _squarings(velocity, steps: int):
     """Yield ``v / 2**steps`` and then each of its ``steps`` self-compositions."""
     v = _check_field(velocity)
-    if int(steps) < 1:
-        raise ShapeMismatch(f"steps must be >= 1, got {steps}")
+    scale = _scale(steps)
     grid = identity_grid(v.shape[:3])
-    u = v / float(2 ** int(steps))
+    u = v / scale
     yield u
     for _ in range(int(steps)):
         u = u + trilinear_sample(u, grid + u)
@@ -93,6 +101,7 @@ def svf_backward(grad_displacement, tape, steps: int) -> np.ndarray:
     points serves the last two; it is rebuilt from the tape per step rather
     than kept on the tape, which would hold ``steps`` stencils at once.
     """
+    scale = _scale(steps)
     g = np.asarray(grad_displacement, dtype=np.float64)
     dims = g.shape[:3]
     flat_grid = identity_grid(dims).reshape(-1, 3)
@@ -101,7 +110,7 @@ def svf_backward(grad_displacement, tape, steps: int) -> np.ndarray:
         g_flat = g.reshape(-1, 3)
         stencil = Stencil(flat_grid + u.reshape(-1, 3), dims)
         g = (g_flat + stencil.vjp(u, g_flat)).reshape(g.shape) + stencil.adjoint(g_flat)
-    return g / float(2 ** int(steps))
+    return g / scale
 
 
 def compose(transform: CompositeTransform, dims=None) -> np.ndarray:

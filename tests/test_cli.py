@@ -490,6 +490,58 @@ def test_register_coarse_stride_below_one_exits_3(synth_pair, tmp_path, stride, 
     assert "stride must be >= 1" in capsys.readouterr().err
 
 
+def test_register_config_file_not_utf8_exits_3(synth_pair, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfe" + "match_step = 2\n".encode("utf-16-le"))
+    rc = main(
+        [
+            "register",
+            "--moving-dir",
+            str(synth_pair / "moving"),
+            "--fixed-dir",
+            str(synth_pair / "fixed"),
+            "--out",
+            str(tmp_path / "reg"),
+            "--config",
+            str(config),
+        ]
+    )
+    assert rc == 3
+    assert f"{config}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "reg").exists()
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("match_step=0", "match_step must be >= 1"),
+        ("sscc_iterations=0", "sscc_iterations must be >= 1"),
+        ("coarse_stride=0", "coarse_stride must be >= 1"),
+        ("svf_steps=0", "svf_steps must be >= 1"),
+        ("svf_steps=2000", "svf_steps must be <= 1023"),
+    ],
+)
+def test_register_stage_bounds_exit_3_before_any_stage_runs(synth_pair, tmp_path, setting, message, capsys):
+    rc = main(
+        [
+            "register",
+            "--moving-dir",
+            str(synth_pair / "moving"),
+            "--fixed-dir",
+            str(synth_pair / "fixed"),
+            "--out",
+            str(tmp_path / "reg"),
+            "--set",
+            "parameterization=svf",
+            "--set",
+            setting,
+        ]
+    )
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "reg").exists()
+
+
 @pytest.mark.parametrize(
     "empty_sides, shape",
     [(("moving",), (0, 4, 4, 8)), (("fixed",), (4, 0, 4, 8)), (("moving", "fixed"), (4, 4, 4, 0))],

@@ -6,6 +6,7 @@ import pytest
 
 from embreg.config import PipelineConfig, apply_overrides, load_config, set_option
 from embreg.errors import ShapeMismatch
+from embreg.transform import MAX_SVF_STEPS
 
 
 def test_defaults():
@@ -92,6 +93,13 @@ def test_apply_overrides_rejects_malformed_item():
         {"intensity_term": "lncc", "lncc_window": 4},
         {"instance_iterations": 0},
         {"coarse_iterations": 0},
+        # bounds of stages that run after others, checked before any stage runs
+        {"match_step": 0},
+        {"sscc_iterations": 0},
+        {"coarse_stride": 0},
+        {"svf_steps": 0},
+        # 2.0**svf_steps would overflow a float
+        {"svf_steps": MAX_SVF_STEPS + 1},
         {"enable_affine": "yes"},
     ],
     ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()),
@@ -99,6 +107,17 @@ def test_apply_overrides_rejects_malformed_item():
 def test_code_built_config_is_checked(case):
     with pytest.raises(ShapeMismatch):
         PipelineConfig(**case)
+
+
+def test_largest_finite_squaring_count_is_accepted():
+    assert PipelineConfig(svf_steps=MAX_SVF_STEPS).svf_steps == 1023
+
+
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe" + "match_step = 2\n".encode("utf-16-le"))
+    with pytest.raises(ShapeMismatch, match=re.escape(f"{path}: not UTF-8 text")):
+        load_config(path)
 
 
 def test_set_option_checks_the_whole_config_and_keeps_it_on_failure():

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from embreg.descent import HALVINGS, descend
+from embreg.descent import HALVINGS, PROGRESS, descend
 from embreg.errors import NumericalDivergence
 
 
@@ -28,6 +28,16 @@ class Quadratic:
             return self.gradient_sign * 2.0 * self.weights * x
 
         return value, gradient
+
+
+def _accepted(trials):
+    """The ``(point, value)`` trials a descent accepted, the start first."""
+    accepted, best = [], np.inf
+    for point, value in trials:
+        if value <= best:
+            accepted.append((point, value))
+            best = value
+    return accepted
 
 
 def test_stops_at_tolerance_without_further_trials():
@@ -63,11 +73,7 @@ def test_non_finite_value_raises():
 def test_gradient_only_at_accepted_points():
     f = Quadratic(weights=[1.0, 100.0])
     descend(f, np.array([1.0, 1.0]), iterations=6, tol=1e-6)
-    accepted, best = [], np.inf
-    for point, value in f.trials:
-        if value <= best:
-            accepted.append(float(point[0]))
-            best = value
+    accepted = [float(point[0]) for point, _ in _accepted(f.trials)]
     assert len(accepted) < len(f.trials), "no trial was rejected"
     # the point accepted in the last of the six iterations is returned undifferentiated
     assert len(accepted) == 7
@@ -122,3 +128,40 @@ def test_logs_evaluations_and_stop_reason(caplog):
         f"descend: {1 + HALVINGS} evaluations, {HALVINGS} rejected, objective 1 -> 1, stop stall"
     )
     assert messages[2].endswith("stop cap")
+
+
+def test_stops_on_progress_at_the_first_iteration_that_gains_too_little(caplog):
+    weights = np.logspace(0, 2, 8)  # ill-conditioned enough that one correction pair converges slowly
+    reference = Quadratic(weights=weights)
+    with caplog.at_level(logging.DEBUG, logger="embreg.descent"):
+        descend(reference, np.ones(8), iterations=200, tol=1e-6)
+        f = Quadratic(weights=weights)
+        x = descend(f, np.ones(8), iterations=200, tol=1e-6, progress=PROGRESS)
+    messages = [r.getMessage() for r in caplog.records if r.name == "embreg.descent"]
+    # without the progress test the descent runs on to the tolerance, as before
+    assert messages[0].endswith("stop tol")
+    values = [value for _, value in _accepted(reference.trials)]
+    first = next(
+        k for k in range(1, len(values)) if values[k - 1] - values[k] < PROGRESS * (values[0] - values[k])
+    )
+    assert 1 < first < len(values) - 1
+    assert messages[1].endswith("stop progress")
+    # the same path up to the stop, and the point accepted there is returned undifferentiated
+    accepted = _accepted(f.trials)
+    assert len(accepted) == first + 1
+    assert len(f.trials) < len(reference.trials)
+    for (point, value), (ref_point, ref_value) in zip(f.trials, reference.trials):
+        np.testing.assert_array_equal(point, ref_point)
+        assert value == ref_value
+    np.testing.assert_array_equal(x, accepted[-1][0])
+    assert f.differentiated == [float(point[0]) for point, _ in accepted[:-1]]
+
+
+def test_no_decrease_does_not_stop_on_progress(caplog):
+    def flat(x):  # every trial gains 0 of a total of 0, and the gradient never vanishes
+        return 1.0, lambda: np.ones(1)
+
+    with caplog.at_level(logging.DEBUG, logger="embreg.descent"):
+        x = descend(flat, np.array([1.0]), iterations=3, tol=1e-6, progress=PROGRESS)
+    np.testing.assert_array_equal(x, [-2.0])
+    assert caplog.records[-1].getMessage() == "descend: 4 evaluations, 0 rejected, objective 1 -> 1, stop cap"

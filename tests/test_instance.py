@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -143,15 +145,19 @@ def test_loss_and_gradient_do_not_depend_on_row_blocks(parameterization):
     assert whole[1].tobytes() == blocked[1].tobytes()
 
 
-def test_optimize_reduces_objective_and_recovers_small_shift():
+def half_voxel_shift():
+    """Features of a 12³ atlas and of the same atlas shifted by half a voxel in x, and that shift."""
     spec = SynthSpec(dims=(12, 12, 12), channels=8, seed=3)
     feats_f, _, _ = make_atlas(spec)
     # moving = fixed shifted by half a voxel in x (pull map x -> x + 0.5)
     shift = np.zeros((12, 12, 12, 3))
     shift[..., 2] = 0.5
-    from embreg.grid import identity_grid
+    feats_m = warp_features(feats_f, grid.identity_grid((12, 12, 12)) - shift)
+    return feats_m, feats_f, shift
 
-    feats_m = warp_features(feats_f, identity_grid((12, 12, 12)) - shift)
+
+def test_optimize_reduces_objective_and_recovers_small_shift():
+    feats_m, feats_f, shift = half_voxel_shift()
     config = PipelineConfig(lambda_sim=1.0, lambda_reg=0.01, instance_iterations=80)
     start = instance_objective(np.zeros_like(shift), feats_m, feats_f, None, None, config)
     out = optimize_instance(feats_m, feats_f, None, None, np.zeros_like(shift), config)
@@ -160,6 +166,18 @@ def test_optimize_reduces_objective_and_recovers_small_shift():
     interior = out[3:-3, 3:-3, 3:-3]
     assert abs(float(np.mean(interior[..., 2])) - 0.5) < 0.2
     assert abs(float(np.mean(interior[..., 0]))) < 0.1
+
+
+def test_optimize_stops_on_progress_before_the_cap(caplog):
+    feats_m, feats_f, shift = half_voxel_shift()
+    config = PipelineConfig(lambda_reg=0.01)
+    assert config.instance_iterations == 100
+    with caplog.at_level(logging.DEBUG, logger="embreg.descent"):
+        out = optimize_instance(feats_m, feats_f, None, None, np.zeros_like(shift), config)
+    (message,) = [r.getMessage() for r in caplog.records if r.name == "embreg.descent"]
+    assert message.endswith("stop progress")
+    assert int(message.split()[1]) < 1 + config.instance_iterations
+    assert abs(float(np.mean(out[3:-3, 3:-3, 3:-3, 2])) - 0.5) < 0.2
 
 
 def test_optimize_svf_returns_integrated_displacement():

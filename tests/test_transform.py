@@ -5,6 +5,7 @@ from embreg.affine import AffineTransform, apply_affine, invert_affine
 from embreg.errors import ShapeMismatch
 from embreg.grid import identity_grid, trilinear_sample
 from embreg.transform import (
+    MAX_SVF_STEPS,
     CompositeTransform,
     compose,
     compose_at_points,
@@ -96,6 +97,16 @@ def test_svf_backward_matches_finite_differences():
         vm[idx] -= h
         fd = (loss(vp) - loss(vm)) / (2 * h)
         assert grad[idx] == pytest.approx(fd, abs=5e-6)
+
+
+@pytest.mark.parametrize("steps", [0, MAX_SVF_STEPS + 1, 2000])
+def test_squaring_count_whose_scale_is_not_a_finite_float_is_rejected(steps):
+    v = np.zeros((3, 3, 3, 3))
+    with pytest.raises(ShapeMismatch, match="steps must be from 1 to"):
+        integrate_svf(v, steps=steps)
+    _, tape = integrate_svf_with_tape(v, steps=2)
+    with pytest.raises(ShapeMismatch, match="steps must be from 1 to"):
+        svf_backward(v, tape, steps)
 
 
 def test_compose_affine_only_is_inverse_affine_of_grid():
