@@ -70,7 +70,7 @@ def _write_bundle(directory: Path, bundle: Bundle) -> None:
     write_vol1(directory / "features.vol1", bundle.features, spacing=bundle.spacing)
     write_vol1(directory / "intensity.vol1", bundle.intensity, spacing=bundle.spacing)
     if bundle.labels is not None:
-        write_vol1(directory / "labels.vol1", bundle.labels.astype(np.uint16), dtype="u16", spacing=bundle.spacing)
+        write_vol1(directory / "labels.vol1", bundle.labels, dtype="u16", spacing=bundle.spacing)
 
 
 def cmd_synth(args) -> int:

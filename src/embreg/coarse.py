@@ -15,11 +15,13 @@ import numpy as np
 
 from .affine import AffineTransform, apply_affine, invert_affine
 from .config import PipelineConfig
-from .descent import TOL, descend, smoothness
+from .descent import descend, smoothness
 from .errors import EmptyMatchSet, ShapeMismatch
 from .grid import Stencil, identity_grid, trilinear_sample
 from .grid import trilinear_corners  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .matching import MatchSet
+
+ITERATIONS = 200  # a cap only: the descent stops on descent.TOL first, after a few dozen evaluations
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,9 @@ def optimize_coarse(
 ) -> CoarseField:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`) from the zero lattice.
 
-    Reads ``coarse_stride``, ``coarse_reg_weight`` and ``coarse_iterations``
-    from ``config``; the matches are in image-grid voxels.
+    Reads ``coarse_stride`` and ``coarse_reg_weight`` from ``config``; the
+    descent runs to :data:`~embreg.descent.TOL`, capped at :data:`ITERATIONS`.
+    The matches are in image-grid voxels.
     """
     stride = config.coarse_stride
     start = CoarseField(stride=stride, lattice=np.zeros(lattice_dims(grid_dims, stride) + (3,)))
@@ -104,8 +107,7 @@ def optimize_coarse(
     lattice = descend(
         lambda lat: _coarse_loss(lat, *targets, config.coarse_reg_weight),
         start.lattice,
-        config.coarse_iterations,
-        TOL,
+        ITERATIONS,
         progress=0.0,  # cheap, and cutting it short loses accuracy
     )
     return CoarseField(stride=start.stride, lattice=lattice)
@@ -113,5 +115,8 @@ def optimize_coarse(
 
 def upsample_coarse(field: CoarseField, target_dims) -> np.ndarray:
     """Dense displacement on the target grid via trilinear lattice interpolation."""
+    expected = lattice_dims(target_dims, field.stride)
+    if field.lattice.shape[:3] != expected:
+        raise ShapeMismatch(f"lattice {field.lattice.shape[:3]} != {expected} for grid {tuple(target_dims)}")
     pts = identity_grid(target_dims) / field.stride
     return trilinear_sample(field.lattice, pts)

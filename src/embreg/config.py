@@ -27,9 +27,7 @@ class PipelineConfig:
     # coarse stage
     coarse_stride: int = 4
     coarse_reg_weight: float = 1.0
-    coarse_iterations: int = 200
     # instance stage
-    lambda_sim: float = 1.0
     lambda_reg: float = 1.0
     intensity_term: str = "none"
     lncc_window: int = 9
@@ -53,13 +51,10 @@ class PipelineConfig:
             if not ok:
                 qualifier = " finite" if kind is float else ""
                 raise ShapeMismatch(f"{field.name} must be a{qualifier} {kind.__name__}, got {value!r}")
-        for name in ("coarse_reg_weight", "lambda_sim", "lambda_reg"):
+        for name in ("coarse_reg_weight", "lambda_reg"):
             if getattr(self, name) < 0:
                 raise ShapeMismatch(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in (
-            "match_step", "sscc_iterations", "coarse_stride", "coarse_iterations", "svf_steps",
-            "instance_iterations",
-        ):
+        for name in ("match_step", "sscc_iterations", "coarse_stride", "svf_steps", "instance_iterations"):
             if getattr(self, name) < 1:
                 raise ShapeMismatch(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.svf_steps > MAX_SVF_STEPS:

@@ -102,7 +102,12 @@ def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=
         len(attr_text),
     )
     # One copy: channel-major, in the file's dtype, written through the buffer protocol.
-    payload = np.moveaxis(arr, -1, 0).astype(_DTYPES[dtype], order="C")
+    channels = np.moveaxis(arr, -1, 0)
+    with np.errstate(invalid="ignore"):
+        payload = channels.astype(_DTYPES[dtype], order="C")
+    # u8/u16 must hold every value exactly, where a cast would wrap, truncate or zero it.
+    if payload.dtype.kind == "u" and not np.array_equal(payload, channels):
+        raise ShapeMismatch(f"{dtype} values must be integers from 0 to {np.iinfo(payload.dtype).max}")
     with open_atomic(path) as fh:
         fh.write(header)
         fh.write(attr_text)

@@ -16,7 +16,7 @@ PROGRESS = 7e-4  # the instance descent stops once a step gains less than this s
 log = logging.getLogger(__name__)
 
 
-def descend(evaluate, x0, iterations: int, tol: float, progress: float = 0.0) -> np.ndarray:
+def descend(evaluate, x0, iterations: int, progress: float = 0.0) -> np.ndarray:
     """Quasi-Newton descent from ``x0``; returns the last accepted point.
 
     ``evaluate(x)`` returns ``(value, gradient_fn)``; ``gradient_fn()`` reuses
@@ -30,15 +30,17 @@ def descend(evaluate, x0, iterations: int, tol: float, progress: float = 0.0) ->
     move; when the pair shows no positive curvature the scaled gradient is
     used again. Each iteration tries ``x - step * direction`` for ``step`` =
     1, 1/2, 1/4, ... and accepts the first trial whose value does not
-    increase. The descent stops when no gradient component reaches ``tol``,
-    when every trial is rejected, when an accepted trial lowers the value by
-    less than ``progress`` times the decrease from the start (``0`` turns
-    this off; no decrease at all does not stop), or after ``iterations``
-    iterations; a non-finite value raises :class:`NumericalDivergence`. The
-    point accepted last at the ``progress`` stop or the cap is returned
-    without its gradient. One DEBUG log line per call gives the evaluations,
-    rejected trials, start and final value and the stop reason (``tol``,
-    ``stall``, ``progress`` or ``cap``).
+    increase. Apart from the :data:`TOL` stop, none of this sees the scale
+    of the objective: ``c * f`` descends like ``f`` for any ``c > 0``, with
+    byte-equal iterates when ``c`` is a power of two. The descent stops when
+    no gradient component reaches :data:`TOL`, when every trial is rejected,
+    when an accepted trial lowers the value by less than ``progress`` times
+    the decrease from the start (``0`` turns this off; no decrease at all
+    does not stop), or after ``iterations`` iterations; a non-finite value
+    raises :class:`NumericalDivergence`. The point accepted last at the
+    ``progress`` stop or the cap is returned without its gradient. One DEBUG
+    log line per call gives the evaluations, rejected trials, start and final
+    value and the stop reason (``tol``, ``stall``, ``progress`` or ``cap``).
     """
     x = x0
     value, gradient = evaluate(x)
@@ -49,7 +51,7 @@ def descend(evaluate, x0, iterations: int, tol: float, progress: float = 0.0) ->
     for _ in range(iterations):
         new_grad = gradient()
         largest = float(np.max(np.abs(new_grad)))
-        if largest < tol or largest == 0.0:
+        if largest < TOL:
             stop = "tol"
             break
         direction = _direction(new_grad, largest, move, grad)

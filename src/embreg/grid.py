@@ -236,11 +236,12 @@ def identity_grid(dims) -> np.ndarray:
     return np.stack([zz, yy, xx], axis=-1)
 
 
-def _check_inverse_map(inverse_map) -> np.ndarray:
-    m = np.asarray(inverse_map, dtype=np.float64)
-    if m.ndim != 4 or m.shape[-1] != 3:
-        raise ShapeMismatch(f"inverse map must be (D,H,W,3), got {m.shape}")
-    return m
+def check_vector_field(field, name: str = "vector field") -> np.ndarray:
+    """``field`` as a float array, which must be shaped ``(D, H, W, 3)``."""
+    arr = np.asarray(field, dtype=np.float64)
+    if arr.ndim != 4 or arr.shape[-1] != 3:
+        raise ShapeMismatch(f"{name} must be (D,H,W,3), got {arr.shape}")
+    return arr
 
 
 def warp_scalar(volume, inverse_map) -> np.ndarray:
@@ -249,7 +250,7 @@ def warp_scalar(volume, inverse_map) -> np.ndarray:
     ``out[x] = trilinear_sample(volume, inverse_map[x])`` on the grid of
     the map.
     """
-    m = _check_inverse_map(inverse_map)
+    m = check_vector_field(inverse_map, "inverse map")
     vol = np.asarray(volume, dtype=np.float64)
     if vol.ndim != 3:
         raise ShapeMismatch(f"volume must be (D,H,W), got {vol.shape}")
@@ -258,7 +259,7 @@ def warp_scalar(volume, inverse_map) -> np.ndarray:
 
 def warp_labels(labels, inverse_map) -> np.ndarray:
     """Nearest-neighbor pullback for categorical label volumes."""
-    m = _check_inverse_map(inverse_map)
+    m = check_vector_field(inverse_map, "inverse map")
     lab = np.asarray(labels)
     if lab.ndim != 3:
         raise ShapeMismatch(f"labels must be (D,H,W), got {lab.shape}")
@@ -277,7 +278,7 @@ def normalize_features(vectors) -> np.ndarray:
 
 def warp_features(features, inverse_map) -> np.ndarray:
     """Channel-wise trilinear warp of a feature map, re-normalized per voxel."""
-    m = _check_inverse_map(inverse_map)
+    m = check_vector_field(inverse_map, "inverse map")
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 4:
         raise ShapeMismatch(f"features must be (D,H,W,C), got {feats.shape}")

@@ -1,7 +1,7 @@
 """Per-pair instance optimization of a dense displacement or velocity field.
 
-Minimizes a weighted sum of one minus mean feature similarity, an
-optional intensity dissimilarity (NCC or LNCC), and a gradient-smoothness
+Minimizes one minus mean feature similarity, plus an optional intensity
+dissimilarity (NCC or LNCC), plus ``lambda_reg`` times a gradient-smoothness
 penalty on the optimized field. Gradients are analytic through the whole
 chain: trilinear sampling, per-voxel feature re-normalization, the
 correlation terms, and (in velocity mode) scaling-and-squaring.
@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PipelineConfig
-from .descent import PROGRESS, TOL, descend, smoothness
+from .descent import PROGRESS, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
-from .grid import Stencil, identity_grid, normalize_rows
+from .grid import Stencil, check_vector_field, identity_grid, normalize_rows
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .metrics import lncc_gradient, ncc_gradient
 from .transform import integrate_svf, integrate_svf_with_tape, svf_backward
@@ -61,14 +61,11 @@ def _sam_terms(warped, warped_unmasked, fixed, fixed_unmasked):
 
 def reg_loss(field) -> float:
     """Mean squared Frobenius norm of the forward-difference gradient."""
-    f = np.asarray(field, dtype=np.float64)
-    if f.ndim != 4 or f.shape[-1] != 3:
-        raise ShapeMismatch(f"field must be (D,H,W,3), got {f.shape}")
-    return smoothness(f)[0]
+    return smoothness(check_vector_field(field, "field"))[0]
 
 
 def instance_objective(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> float:
-    """Weighted sum of similarity losses on the warp plus smoothness on the field."""
+    """Similarity losses on the warp plus ``lambda_reg`` times smoothness on the field."""
     field = np.asarray(field, dtype=np.float64)
     return _loss(field, feats_m, *_fixed_side(feats_f), img_m, img_f, config)[0]
 
@@ -118,7 +115,7 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
         sim_value += 1.0 - corr
 
     reg_value, reg_gradient = smoothness(field)
-    value = config.lambda_sim * sim_value + config.lambda_reg * reg_value
+    value = sim_value + config.lambda_reg * reg_value
 
     def similarity_gradient() -> np.ndarray:
         def g_raw(block):
@@ -132,15 +129,15 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
 
         g_disp = stencil.vjp(feats_m, g_raw)
         if config.intensity_term != "none":
-            g_disp = g_disp + stencil.vjp(img_m, -g_img)
-        return config.lambda_sim * g_disp
+            g_disp += stencil.vjp(img_m, -g_img)
+        return g_disp
 
     def gradient() -> np.ndarray:
         nonlocal similarity_gradient
         g_disp = similarity_gradient()
         # Free the sampled features before the SVF adjoint allocates its own.
         similarity_gradient = None
-        g_field = svf_backward(g_disp, tape, config.svf_steps) if tape is not None else g_disp
+        g_field = svf_backward(g_disp, tape) if tape is not None else g_disp
         return g_field + config.lambda_reg * reg_gradient()
 
     return value, gradient
@@ -151,22 +148,20 @@ def optimize_instance(feats_m, feats_f, img_m, img_f, init, config: PipelineConf
 
     ``init`` is the starting field in the configured parameterization
     (zero when there is no prior stage). In velocity mode the returned
-    field is the integrated displacement. Reads ``lambda_sim``,
-    ``lambda_reg``, ``intensity_term``, ``lncc_window``,
-    ``parameterization``, ``svf_steps`` and ``instance_iterations`` from
-    ``config``; ``instance_iterations`` is a cap, and the descent stops
-    earlier once an iteration gains less than :data:`~embreg.descent.PROGRESS`
-    of the decrease so far.
+    field is the integrated displacement. Reads ``lambda_reg``,
+    ``intensity_term``, ``lncc_window``, ``parameterization``, ``svf_steps``
+    and ``instance_iterations`` from ``config``. The similarity terms carry
+    no weight of their own: the descent does not see the objective's scale,
+    so ``lambda_reg`` alone sets the trade-off. ``instance_iterations`` is a
+    cap, and the descent stops earlier once an iteration gains less than
+    :data:`~embreg.descent.PROGRESS` of the decrease so far.
     """
-    field = np.array(init, dtype=np.float64)
-    if field.ndim != 4 or field.shape[-1] != 3:
-        raise ShapeMismatch(f"init field must be (D,H,W,3), got {field.shape}")
+    field = np.array(check_vector_field(init, "init field"))
     fixed = _fixed_side(feats_f)
     field = descend(
         lambda f: _loss(f, feats_m, *fixed, img_m, img_f, config),
         field,
         config.instance_iterations,
-        TOL,
         progress=PROGRESS,
     )
     if config.parameterization == "svf":

@@ -9,7 +9,7 @@ import numpy as np
 
 from .affine import AffineTransform, apply_affine, invert_affine
 from .errors import ShapeMismatch
-from .grid import Stencil, identity_grid, trilinear_sample
+from .grid import Stencil, check_vector_field, identity_grid, trilinear_sample
 from .grid import trilinear_corners, trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps these names here)
 
 MAX_SVF_STEPS = 1023  # the largest squaring count whose scale 2.0**steps is a finite float
@@ -33,9 +33,7 @@ class CompositeTransform:
             f = getattr(self, name)
             if f is None:
                 continue
-            arr = np.ascontiguousarray(f, dtype=np.float64)
-            if arr.ndim != 4 or arr.shape[-1] != 3:
-                raise ShapeMismatch(f"{name} field must be (D,H,W,3), got {arr.shape}")
+            arr = np.ascontiguousarray(check_vector_field(f, f"{name} field"))
             if not np.all(np.isfinite(arr)):
                 raise ShapeMismatch(f"non-finite {name} displacement")
             object.__setattr__(self, name, arr)
@@ -44,13 +42,6 @@ class CompositeTransform:
                 raise ShapeMismatch(
                     f"stage grids differ: {self.coarse.shape} vs {self.dense.shape}"
                 )
-
-
-def _check_field(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[-1] != 3:
-        raise ShapeMismatch(f"vector field must be (D,H,W,3), got {arr.shape}")
-    return arr
 
 
 def _scale(steps: int) -> float:
@@ -62,7 +53,7 @@ def _scale(steps: int) -> float:
 
 def _squarings(velocity, steps: int):
     """Yield ``v / 2**steps`` and then each of its ``steps`` self-compositions."""
-    v = _check_field(velocity)
+    v = check_vector_field(velocity)
     scale = _scale(steps)
     grid = identity_grid(v.shape[:3])
     u = v / scale
@@ -92,21 +83,22 @@ def integrate_svf_with_tape(velocity, steps: int = 7):
     return tape[-1], tape
 
 
-def svf_backward(grad_displacement, tape, steps: int) -> np.ndarray:
+def svf_backward(grad_displacement, tape) -> np.ndarray:
     """Adjoint of scaling and squaring: d(loss)/d(velocity).
 
     Each squaring ``u' = u + u(x + u(x))`` back-propagates through the
     direct term, the spatial Jacobian of the sampled field at ``x + u(x)``,
     and the sampled lattice values of ``u``. One stencil of the sample
     points serves the last two; it is rebuilt from the tape per step rather
-    than kept on the tape, which would hold ``steps`` stencils at once.
+    than kept on the tape, which would hold every stencil at once. The tape
+    of :func:`integrate_svf_with_tape` gives the count: ``len(tape) - 1``
+    squarings.
     """
-    scale = _scale(steps)
+    scale = _scale(len(tape) - 1)
     g = np.asarray(grad_displacement, dtype=np.float64)
     dims = g.shape[:3]
     flat_grid = identity_grid(dims).reshape(-1, 3)
-    for k in range(int(steps) - 1, -1, -1):
-        u = tape[k]
+    for u in reversed(tape[:-1]):
         g_flat = g.reshape(-1, 3)
         stencil = Stencil(flat_grid + u.reshape(-1, 3), dims)
         g = (g_flat + stencil.vjp(u, g_flat)).reshape(g.shape) + stencil.adjoint(g_flat)
@@ -119,15 +111,14 @@ def compose(transform: CompositeTransform, dims=None) -> np.ndarray:
     Per fixed voxel ``x``: ``y1 = x + dense(x)``, ``y2 = y1 +
     trilinear(coarse, y1)``, output ``A^-1 y2``.
     """
+    # The coarse and dense stages share one grid (checked at construction).
+    grid = next((f.shape[:3] for f in (transform.dense, transform.coarse) if f is not None), None)
     if dims is None:
-        if transform.dense is not None:
-            dims = transform.dense.shape[:3]
-        elif transform.coarse is not None:
-            dims = transform.coarse.shape[:3]
-        else:
+        if grid is None:
             raise ShapeMismatch("grid dims required for an affine-only transform")
-    if transform.dense is not None and transform.dense.shape[:3] != tuple(dims):
-        raise ShapeMismatch(f"dense field grid {transform.dense.shape[:3]} != {tuple(dims)}")
+        dims = grid
+    if grid is not None and grid != tuple(dims):
+        raise ShapeMismatch(f"displacement field grid {grid} != {tuple(dims)}")
     return compose_at_points(transform, identity_grid(dims))
 
 
@@ -146,7 +137,9 @@ def jacobian_determinant(field, displacement: bool = False) -> np.ndarray:
     Central differences in the interior, one-sided at faces. When
     ``displacement`` is true the identity grid is added first.
     """
-    f = _check_field(field)
+    f = check_vector_field(field)
+    if not np.all(np.isfinite(f)):
+        raise ShapeMismatch("non-finite field")
     if any(d < 3 for d in f.shape[:3]):
         raise ShapeMismatch(f"Jacobian needs >= 3 voxels per axis, got {f.shape[:3]}")
     phi = f + identity_grid(f.shape[:3]) if displacement else f

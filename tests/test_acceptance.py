@@ -90,7 +90,6 @@ def test_criterion_1_gradient_correctness(capfd):
             term = ("none", "ncc", "lncc")[seed % 3]
             param = ("displacement", "svf")[seed % 2]
             cfg = PipelineConfig(
-                lambda_sim=1.0,
                 lambda_reg=float(rng.uniform(0.1, 1.0)),
                 intensity_term=term,
                 lncc_window=3,
@@ -185,7 +184,7 @@ def test_criterion_4_regularizer_reduces_folding(capfd):
                     ms,
                     AffineTransform.identity(),
                     dims,
-                    PipelineConfig(coarse_iterations=150, coarse_reg_weight=lam),
+                    PipelineConfig(coarse_reg_weight=lam),
                 )
                 disp = upsample_coarse(field, dims)
                 foldings[lam] = folding_fraction(jacobian_determinant(disp, displacement=True))

@@ -94,8 +94,6 @@ def test_match_affine_coarse_instance_chain(synth_pair, tmp_path):
             str(synth_pair / "fixed/features.vol1"),
             "--out",
             str(coarse_path),
-            "--set",
-            "coarse_iterations=40",
         ]
     )
     assert rc == 0
@@ -138,8 +136,6 @@ def test_register_and_eval(synth_pair, tmp_path, capsys):
             str(out),
             "--set",
             "match_step=2",
-            "--set",
-            "coarse_iterations=40",
             "--set",
             "instance_iterations=15",
         ]
@@ -184,6 +180,71 @@ def test_jacobian_command(tmp_path, capsys):
     assert "folding_fraction 0" in capsys.readouterr().out
     jac = read_vol1(out)
     np.testing.assert_allclose(jac.values[..., 0], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("damage", ["one_nan", "inf_channel"])
+def test_jacobian_of_non_finite_field_exits_3(tmp_path, capsys, damage):
+    from embreg.grid import identity_grid
+
+    field = identity_grid((5, 5, 5))
+    if damage == "one_nan":
+        field[2, 2, 2, 1] = np.nan
+    else:
+        field[..., 0] = np.inf
+    path = tmp_path / "field.vol1"
+    write_vol1(path, field)
+    rc = main(["jacobian", "--field", str(path), "--out", str(tmp_path / "jac.vol1")])
+    assert rc == 3
+    assert "non-finite field" in capsys.readouterr().err
+    assert not (tmp_path / "jac.vol1").exists()
+
+
+def test_instance_with_lattice_of_another_grid_exits_3(synth_pair, tmp_path, capsys):
+    # ceil(20 / 4) = 5 nodes an axis: a lattice fitted on a 20^3 pair, not on this 14^3 one
+    lattice = tmp_path / "coarse.vol1"
+    write_vol1(lattice, np.zeros((5, 5, 5, 3)), attrs={"stride": "4"})
+    out = tmp_path / "dense.vol1"
+    rc = main(
+        [
+            "instance",
+            "--moving-dir",
+            str(synth_pair / "moving"),
+            "--fixed-dir",
+            str(synth_pair / "fixed"),
+            "--coarse",
+            str(lattice),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "lattice (5, 5, 5) != (4, 4, 4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_coarse_only_transform_on_another_grid_exits_3(synth_pair, tmp_path, capsys):
+    from embreg.affine import AffineTransform
+
+    transform = tmp_path / "transform"
+    transform.mkdir()
+    (transform / "affine.json").write_text(AffineTransform.identity().to_json())
+    write_vol1(transform / "coarse_dense.vol1", np.zeros((20, 20, 20, 3)))
+    (transform / "transform.json").write_text(
+        json.dumps({"affine": "affine.json", "coarse": "coarse_dense.vol1"})
+    )
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(transform),
+            "--moving-labels",
+            str(synth_pair / "moving/labels.vol1"),
+            "--fixed-labels",
+            str(synth_pair / "fixed/labels.vol1"),
+        ]
+    )
+    assert rc == 3
+    assert "field grid (20, 20, 20) != (14, 14, 14)" in capsys.readouterr().err
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -252,7 +313,10 @@ def test_bad_config_key_exits_3(synth_pair, tmp_path, setting):
     assert rc == 3
 
 
-@pytest.mark.parametrize("setting", ["feature_scale=2", "coarse_tol=1e-3", "instance_tol=1e-3"])
+@pytest.mark.parametrize(
+    "setting",
+    ["feature_scale=2", "coarse_tol=1e-3", "instance_tol=1e-3", "lambda_sim=1", "coarse_iterations=200"],
+)
 def test_removed_config_key_exits_3(synth_pair, tmp_path, setting, capsys):
     rc = main(
         [
@@ -319,7 +383,7 @@ def test_register_fields_are_byte_identical_to_run_pipeline(tmp_path):
     moving, fixed, _ = make_pair(features, labels, intensity, random_smooth_warp(spec), affine)
     _write_bundle(tmp_path / "moving", moving)
     _write_bundle(tmp_path / "fixed", fixed)
-    settings = ["match_step=2", "coarse_iterations=40", "instance_iterations=5"]
+    settings = ["match_step=2", "instance_iterations=5"]
     rc = main(
         [
             "register",
@@ -333,7 +397,7 @@ def test_register_fields_are_byte_identical_to_run_pipeline(tmp_path):
         ]
     )
     assert rc == 0
-    config = PipelineConfig(match_step=2, coarse_iterations=40, instance_iterations=5)
+    config = PipelineConfig(match_step=2, instance_iterations=5)
     transform, _, _ = run_pipeline(config, moving, fixed)
     for name, field in (("coarse_dense", transform.coarse), ("dense", transform.dense)):
         written = read_vol1(tmp_path / "reg" / f"{name}.vol1").values
@@ -347,7 +411,7 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
     from embreg.matching import save_matches
     from embreg.pipeline import run_pipeline
 
-    config = PipelineConfig(match_step=2, coarse_iterations=40, enable_instance=False)
+    config = PipelineConfig(match_step=2, enable_instance=False)
     moving = _load_bundle(synth_pair / "moving")
     fixed = _load_bundle(synth_pair / "fixed")
     _, _, artifacts = run_pipeline(config, moving, fixed)
@@ -365,8 +429,6 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
             str(synth_pair / "fixed/features.vol1"),
             "--out",
             str(tmp_path / "coarse.vol1"),
-            "--set",
-            "coarse_iterations=40",
         ]
     )
     assert rc == 0

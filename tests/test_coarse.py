@@ -6,6 +6,7 @@ import pytest
 
 from embreg.affine import AffineTransform
 from embreg.coarse import (
+    ITERATIONS,
     CoarseField,
     coarse_gradient,
     coarse_objective,
@@ -94,7 +95,7 @@ def test_optimize_descends_monotonically_and_recovers_translation():
     ms = translated_matches(rng, dims, t)
     affine = AffineTransform.identity()
     field = optimize_coarse(ms, affine, grid_dims=dims,
-                            config=PipelineConfig(coarse_iterations=2000, coarse_reg_weight=0.01))
+                            config=PipelineConfig(coarse_reg_weight=0.01))
     final = coarse_objective(field, ms, affine, 0.01)
     start = coarse_objective(
         CoarseField(4, np.zeros_like(field.lattice)), ms, affine, 0.01
@@ -116,7 +117,7 @@ def test_optimize_stops_at_the_gradient_tolerance(caplog):
     (message,) = [r.getMessage() for r in caplog.records if r.name == "embreg.descent"]
     assert message.endswith("stop tol")
     evaluations = int(re.match(r"descend: (\d+) evaluations", message).group(1))
-    assert evaluations < config.coarse_iterations
+    assert evaluations < ITERATIONS
 
 
 def test_zero_reg_weight_allows_larger_displacements_than_strong_reg():
@@ -128,9 +129,9 @@ def test_zero_reg_weight_allows_larger_displacements_than_strong_reg():
     fixed[:3] = (fixed[:3] + 7) % 14
     ms = MatchSet(moving=ms.moving, fixed=fixed, scores=ms.scores)
     low = optimize_coarse(ms, AffineTransform.identity(), dims,
-                          PipelineConfig(coarse_reg_weight=0.0, coarse_iterations=150))
+                          PipelineConfig(coarse_reg_weight=0.0))
     high = optimize_coarse(ms, AffineTransform.identity(), dims,
-                           PipelineConfig(coarse_reg_weight=10.0, coarse_iterations=150))
+                           PipelineConfig(coarse_reg_weight=10.0))
     rough_low = sum(float(np.sum(np.diff(low.lattice, axis=a) ** 2)) for a in range(3))
     rough_high = sum(float(np.sum(np.diff(high.lattice, axis=a) ** 2)) for a in range(3))
     assert rough_high < rough_low

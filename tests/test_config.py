@@ -85,14 +85,13 @@ def test_apply_overrides_rejects_malformed_item():
         # the values `--set` rejects in tests/test_cli.py::test_bad_config_key_exits_3
         {"match_step": "abc"},
         {"coarse_reg_weight": float("nan")},
-        {"lambda_sim": float("inf")},
+        {"lambda_reg": float("inf")},
         # stage settings no stage can run with
-        {"lambda_sim": -1.0},
+        {"lambda_reg": -1.0},
         {"intensity_term": "mi"},
         {"parameterization": "bspline"},
         {"intensity_term": "lncc", "lncc_window": 4},
         {"instance_iterations": 0},
-        {"coarse_iterations": 0},
         # bounds of stages that run after others, checked before any stage runs
         {"match_step": 0},
         {"sscc_iterations": 0},
@@ -136,7 +135,9 @@ def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
     assert cfg.epsilon == 0.7
 
 
-@pytest.mark.parametrize("key", ["feature_scale", "coarse_tol", "instance_tol"])
+@pytest.mark.parametrize(
+    "key", ["feature_scale", "coarse_tol", "instance_tol", "lambda_sim", "coarse_iterations"]
+)
 def test_removed_keys_are_not_fields(key):
     with pytest.raises(TypeError):
         PipelineConfig(**{key: 2.0})

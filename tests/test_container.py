@@ -171,6 +171,17 @@ def test_write_rejects_bad_shapes_and_dtypes(tmp_path):
         write_vol1(tmp_path / "n.vol1", np.zeros((2, 2, 2)), dtype="i32")
 
 
+@pytest.mark.parametrize(
+    "dtype,value", [("u16", 70000), ("u16", -1), ("u8", 2.7), ("u8", float("nan")), ("u8", float("inf"))]
+)
+def test_write_rejects_integer_code_values_the_cast_would_change(tmp_path, dtype, value):
+    values = np.ones((2, 2, 2))
+    values[1, 0, 1] = value
+    with pytest.raises(ShapeMismatch, match=f"{dtype} values must be integers"):
+        write_vol1(tmp_path / "u.vol1", values, dtype=dtype)
+    assert os.listdir(tmp_path) == []
+
+
 def test_write_rejects_attrs_that_cannot_round_trip(tmp_path):
     for attrs in ({"a=b": "1"}, {"a": "1\nb=2"}, {"a\rb": "1"}, {"a": "\ud800"}):
         with pytest.raises(ShapeMismatch):

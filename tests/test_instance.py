@@ -83,7 +83,7 @@ def test_reg_loss_matches_direct_sum():
 def test_objective_zero_field_identical_volumes():
     rng = np.random.default_rng(3)
     feats = random_features(rng, (5, 5, 5), 8)
-    config = PipelineConfig(lambda_sim=1.0, lambda_reg=1.0)
+    config = PipelineConfig(lambda_reg=1.0)
     value = instance_objective(np.zeros((5, 5, 5, 3)), feats, feats, None, None, config)
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -97,7 +97,7 @@ def test_gradient_matches_finite_differences_displacement(term):
     img_m = rng.normal(size=dims)
     img_f = rng.normal(size=dims)
     config = PipelineConfig(
-        lambda_sim=0.8, lambda_reg=0.6, intensity_term=term, lncc_window=3
+        lambda_reg=0.75, intensity_term=term, lncc_window=3
     )
     field = rng.normal(scale=0.3, size=dims + (3,))
     grad = instance_gradient(field, feats_m, feats_f, img_m, img_f, config)
@@ -113,7 +113,7 @@ def test_gradient_matches_finite_differences_svf():
     feats_m = random_features(rng, dims, 4)
     feats_f = random_features(rng, dims, 4)
     config = PipelineConfig(
-        lambda_sim=1.0, lambda_reg=0.5, parameterization="svf", svf_steps=4
+        lambda_reg=0.5, parameterization="svf", svf_steps=4
     )
     field = rng.normal(scale=0.2, size=dims + (3,))
     grad = instance_gradient(field, feats_m, feats_f, None, None, config)
@@ -133,7 +133,7 @@ def test_loss_and_gradient_do_not_depend_on_row_blocks(parameterization):
     feats_f[3] = 0.0
     img_m, img_f = rng.normal(size=dims), rng.normal(size=dims)
     config = PipelineConfig(
-        lambda_sim=0.8, lambda_reg=0.6, intensity_term="ncc", parameterization=parameterization
+        lambda_reg=0.75, intensity_term="ncc", parameterization=parameterization
     )
     field = rng.normal(scale=0.5, size=dims + (3,))
     args = (field, feats_m, feats_f, img_m, img_f, config)
@@ -158,7 +158,7 @@ def half_voxel_shift():
 
 def test_optimize_reduces_objective_and_recovers_small_shift():
     feats_m, feats_f, shift = half_voxel_shift()
-    config = PipelineConfig(lambda_sim=1.0, lambda_reg=0.01, instance_iterations=80)
+    config = PipelineConfig(lambda_reg=0.01, instance_iterations=80)
     start = instance_objective(np.zeros_like(shift), feats_m, feats_f, None, None, config)
     out = optimize_instance(feats_m, feats_f, None, None, np.zeros_like(shift), config)
     end = instance_objective(out, feats_m, feats_f, None, None, config)

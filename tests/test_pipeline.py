@@ -29,7 +29,6 @@ def synth_case(seed, dims=(16, 16, 16), amplitude=1.0, translation=(1.0, 0.0, -0
 def fast_config(**overrides):
     defaults = dict(
         match_step=2,
-        coarse_iterations=60,
         coarse_reg_weight=0.1,
         instance_iterations=30,
         lambda_reg=0.1,

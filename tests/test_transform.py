@@ -87,7 +87,7 @@ def test_svf_backward_matches_finite_differences():
         return float(np.sum(weights * integrate_svf(vel, steps=steps)))
 
     _, tape = integrate_svf_with_tape(v, steps=steps)
-    grad = svf_backward(weights, tape, steps)
+    grad = svf_backward(weights, tape)
     h = 1e-6
     idxs = [tuple(rng.integers(0, s) for s in v.shape) for _ in range(12)]
     for idx in idxs:
@@ -104,9 +104,6 @@ def test_squaring_count_whose_scale_is_not_a_finite_float_is_rejected(steps):
     v = np.zeros((3, 3, 3, 3))
     with pytest.raises(ShapeMismatch, match="steps must be from 1 to"):
         integrate_svf(v, steps=steps)
-    _, tape = integrate_svf_with_tape(v, steps=2)
-    with pytest.raises(ShapeMismatch, match="steps must be from 1 to"):
-        svf_backward(v, tape, steps)
 
 
 def test_compose_affine_only_is_inverse_affine_of_grid():
@@ -185,6 +182,12 @@ def test_composite_keeps_contiguous_fields_and_copies_strided_ones():
 def test_compose_rejects_dense_field_on_another_grid():
     t = CompositeTransform(affine=AffineTransform.identity(), dense=np.zeros((4, 4, 4, 3)))
     with pytest.raises(ShapeMismatch):
+        compose(t, (5, 4, 4))
+
+
+def test_compose_rejects_coarse_field_on_another_grid():
+    t = CompositeTransform(affine=AffineTransform.identity(), coarse=np.zeros((4, 4, 4, 3)))
+    with pytest.raises(ShapeMismatch, match="field grid"):
         compose(t, (5, 4, 4))
 
 
