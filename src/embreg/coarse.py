@@ -21,6 +21,7 @@ from .grid import Stencil, identity_grid, trilinear_sample
 from .grid import trilinear_corners  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .matching import MatchSet
 
+STRIDE = 4  # voxels between lattice nodes, the paper's stride
 ITERATIONS = 200  # a cap only: the descent stops on descent.TOL first, after a few dozen evaluations
 
 
@@ -96,12 +97,12 @@ def optimize_coarse(
 ) -> CoarseField:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`) from the zero lattice.
 
-    Reads ``coarse_stride`` and ``coarse_reg_weight`` from ``config``; the
-    descent runs to :data:`~embreg.descent.TOL`, capped at :data:`ITERATIONS`.
-    The matches are in image-grid voxels.
+    The lattice has one node every :data:`STRIDE` voxels. Reads
+    ``coarse_reg_weight`` from ``config``; the descent runs to
+    :data:`~embreg.descent.TOL`, capped at :data:`ITERATIONS`. The matches
+    are in image-grid voxels.
     """
-    stride = config.coarse_stride
-    start = CoarseField(stride=stride, lattice=np.zeros(lattice_dims(grid_dims, stride) + (3,)))
+    start = CoarseField(stride=STRIDE, lattice=np.zeros(lattice_dims(grid_dims, STRIDE) + (3,)))
     # The match points do not move during the descent, so one stencil serves every step.
     targets = _match_targets(matches, affine, start)
     lattice = descend(

@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 
 from .errors import ShapeMismatch
-from .transform import MAX_SVF_STEPS
 
 
 @dataclass(frozen=True)
@@ -25,14 +24,11 @@ class PipelineConfig:
     sscc_iterations: int = 5
     epsilon: float = 0.7
     # coarse stage
-    coarse_stride: int = 4
     coarse_reg_weight: float = 1.0
     # instance stage
     lambda_reg: float = 1.0
     intensity_term: str = "none"
-    lncc_window: int = 9
     parameterization: str = "displacement"
-    svf_steps: int = 7
     instance_iterations: int = 100
     # stage gating
     enable_affine: bool = True
@@ -54,15 +50,11 @@ class PipelineConfig:
         for name in ("coarse_reg_weight", "lambda_reg"):
             if getattr(self, name) < 0:
                 raise ShapeMismatch(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in ("match_step", "sscc_iterations", "coarse_stride", "svf_steps", "instance_iterations"):
+        for name in ("match_step", "sscc_iterations", "instance_iterations"):
             if getattr(self, name) < 1:
                 raise ShapeMismatch(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.svf_steps > MAX_SVF_STEPS:
-            raise ShapeMismatch(f"svf_steps must be <= {MAX_SVF_STEPS}, got {self.svf_steps!r}")
         if self.intensity_term not in ("none", "ncc", "lncc"):
             raise ShapeMismatch(f"unknown intensity term {self.intensity_term!r}")
-        if self.intensity_term == "lncc" and (self.lncc_window < 3 or self.lncc_window % 2 == 0):
-            raise ShapeMismatch(f"LNCC window must be odd >= 3, got {self.lncc_window}")
         if self.parameterization not in ("displacement", "svf"):
             raise ShapeMismatch(f"unknown parameterization {self.parameterization!r}")
 

@@ -103,11 +103,14 @@ def write_vol1(path, values, spacing=(1.0, 1.0, 1.0), dtype: str = "f64", attrs=
     )
     # One copy: channel-major, in the file's dtype, written through the buffer protocol.
     channels = np.moveaxis(arr, -1, 0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         payload = channels.astype(_DTYPES[dtype], order="C")
     # u8/u16 must hold every value exactly, where a cast would wrap, truncate or zero it.
     if payload.dtype.kind == "u" and not np.array_equal(payload, channels):
         raise ShapeMismatch(f"{dtype} values must be integers from 0 to {np.iinfo(payload.dtype).max}")
+    # f32 must keep every finite value finite, where a cast would store inf.
+    if dtype == "f32" and np.count_nonzero(np.isfinite(payload)) != np.count_nonzero(np.isfinite(channels)):
+        raise ShapeMismatch("f32 would store a finite value beyond float32's range as inf")
     with open_atomic(path) as fh:
         fh.write(header)
         fh.write(attr_text)

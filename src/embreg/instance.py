@@ -91,7 +91,7 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
     ``fixed_unmasked`` come from :func:`_fixed_side`.
     """
     if config.parameterization == "svf":
-        displacement, tape = integrate_svf_with_tape(field, config.svf_steps)
+        displacement, tape = integrate_svf_with_tape(field)
     else:
         displacement, tape = field, None
     stencil = Stencil(identity_grid(field.shape[:3]) + displacement, np.shape(feats_m)[:3])
@@ -111,7 +111,7 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
         if config.intensity_term == "ncc":
             corr, g_img = ncc_gradient(warped_img, img_f)
         else:
-            corr, g_img = lncc_gradient(warped_img, img_f, config.lncc_window)
+            corr, g_img = lncc_gradient(warped_img, img_f)
         sim_value += 1.0 - corr
 
     reg_value, reg_gradient = smoothness(field)
@@ -143,27 +143,27 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
     return value, gradient
 
 
-def optimize_instance(feats_m, feats_f, img_m, img_f, init, config: PipelineConfig) -> np.ndarray:
+def optimize_instance(feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> np.ndarray:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`); returns the final displacement.
 
-    ``init`` is the starting field in the configured parameterization
-    (zero when there is no prior stage). In velocity mode the returned
-    field is the integrated displacement. Reads ``lambda_reg``,
-    ``intensity_term``, ``lncc_window``, ``parameterization``, ``svf_steps``
-    and ``instance_iterations`` from ``config``. The similarity terms carry
-    no weight of their own: the descent does not see the objective's scale,
-    so ``lambda_reg`` alone sets the trade-off. ``instance_iterations`` is a
-    cap, and the descent stops earlier once an iteration gains less than
+    The descent starts from the zero field on the fixed grid. In velocity
+    mode the returned field is the displacement integrated with
+    :data:`~embreg.transform.SVF_STEPS` squarings; LNCC uses a window of
+    :data:`~embreg.metrics.LNCC_WINDOW` voxels. Reads ``lambda_reg``,
+    ``intensity_term``, ``parameterization`` and ``instance_iterations``
+    from ``config``. The similarity terms carry no weight of their own: the
+    descent does not see the objective's scale, so ``lambda_reg`` alone sets
+    the trade-off. ``instance_iterations`` is a cap, and the descent stops
+    earlier once an iteration gains less than
     :data:`~embreg.descent.PROGRESS` of the decrease so far.
     """
-    field = np.array(check_vector_field(init, "init field"))
     fixed = _fixed_side(feats_f)
     field = descend(
         lambda f: _loss(f, feats_m, *fixed, img_m, img_f, config),
-        field,
+        np.zeros(np.shape(feats_f)[:3] + (3,)),
         config.instance_iterations,
         progress=PROGRESS,
     )
     if config.parameterization == "svf":
-        return integrate_svf(field, config.svf_steps)
+        return integrate_svf(field)
     return field

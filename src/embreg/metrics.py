@@ -11,6 +11,7 @@ from scipy import ndimage
 from .errors import DegenerateIntensity, PairingError, ShapeMismatch
 
 _VAR_EPS = 1e-12
+LNCC_WINDOW = 9  # voxels per side of the instance loss's LNCC window
 
 
 @dataclass
@@ -127,12 +128,12 @@ def _lncc_stats(a: np.ndarray, b: np.ndarray, window: int):
     return corr, good, denom, saa, mean_a, mean_b
 
 
-def lncc(a, b, window: int = 9) -> float:
+def lncc(a, b, window: int = LNCC_WINDOW) -> float:
     """Mean of windowed NCC; degenerate (zero-variance) windows contribute 0."""
     return lncc_gradient(a, b, window)[0]
 
 
-def lncc_gradient(a, b, window: int = 9) -> tuple[float, np.ndarray]:
+def lncc_gradient(a, b, window: int = LNCC_WINDOW) -> tuple[float, np.ndarray]:
     """Mean windowed NCC and its gradient with respect to ``a``.
 
     Each voxel participates in every window containing it; the per-window

@@ -42,7 +42,6 @@ def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine
         fixed.features,
         warp_scalar(moving.intensity, pre_map),
         fixed.intensity,
-        np.zeros(dims + (3,)),
         config,
     )
     return dense, pre_map
@@ -85,7 +84,9 @@ def run_pipeline(
     used for the landmark-error entry of the report.
 
     Returns the composite transform, a report, and a dict of intermediate
-    artifacts (matches, affine, coarse and composed maps).
+    artifacts: the matches, the coarse lattice, the map the instance stage
+    starts from and the final map (the transform holds the affine and the
+    upsampled coarse field).
     """
     if moving.dims != fixed.dims:
         raise ShapeMismatch(f"bundle grids differ: {moving.dims} vs {fixed.dims}")
@@ -103,7 +104,6 @@ def run_pipeline(
         t0 = time.perf_counter()
         affine = _stage("affine", lambda: fit_affine(matches))
         timings["affine"] = time.perf_counter() - t0
-    artifacts["affine"] = affine
 
     coarse_dense = None
     if config.enable_coarse:
@@ -112,7 +112,6 @@ def run_pipeline(
         coarse_dense = upsample_coarse(coarse_field, dims)
         timings["coarse"] = time.perf_counter() - t0
         artifacts["coarse_field"] = coarse_field
-        artifacts["coarse_dense"] = coarse_dense
 
     dense = None
     if config.enable_instance:

@@ -79,7 +79,6 @@ class SynthSpec:
     warp_smoothness: float = 4.0
     label_count: int = 3
     seed: int = 0
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if self.feature_smoothness <= 0 or self.warp_smoothness <= 0:
@@ -149,24 +148,24 @@ def make_pair(
     intensity: np.ndarray,
     velocity: np.ndarray,
     affine: AffineTransform,
-    svf_steps: int = 7,
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> tuple[Bundle, Bundle, np.ndarray]:
     """Fixed bundle (the atlas), a deformed moving bundle, and the ground truth.
 
     The ground-truth fixed-to-moving map is ``A^-1 (x + d(x))`` with ``d``
-    the integrated velocity. The moving bundle is the atlas resampled
-    through (the approximate inverse of) that map so that pulling the
-    moving bundle back through the ground truth reproduces the atlas.
+    the velocity integrated with :data:`~embreg.transform.SVF_STEPS`
+    squarings. The moving bundle is the atlas resampled through (the
+    approximate inverse of) that map so that pulling the moving bundle back
+    through the ground truth reproduces the atlas. Both bundles have unit
+    spacing.
     """
     dims = np.asarray(features).shape[:3]
     if np.asarray(velocity).shape[:3] != dims:
         raise ShapeMismatch("velocity grid differs from atlas grid")
-    disp = integrate_svf(velocity, svf_steps)
+    disp = integrate_svf(velocity)
     grid = identity_grid(dims)
     gt_map = apply_affine(invert_affine(affine), grid + disp)
 
-    inv_disp = integrate_svf(-np.asarray(velocity, dtype=np.float64), svf_steps)
+    inv_disp = integrate_svf(-np.asarray(velocity, dtype=np.float64))
     fwd = apply_affine(affine, grid)
     moving_map = fwd + trilinear_sample(inv_disp, fwd)
 
@@ -174,12 +173,10 @@ def make_pair(
         features=warp_features(features, moving_map),
         intensity=warp_scalar(intensity, moving_map),
         labels=warp_labels(labels, moving_map),
-        spacing=spacing,
     )
     fixed = Bundle(
         features=features,
         intensity=intensity,
         labels=np.asarray(labels),
-        spacing=spacing,
     )
     return moving, fixed, gt_map

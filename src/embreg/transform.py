@@ -12,6 +12,7 @@ from .errors import ShapeMismatch
 from .grid import Stencil, check_vector_field, identity_grid, trilinear_sample
 from .grid import trilinear_corners, trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps these names here)
 
+SVF_STEPS = 7  # scaling-and-squaring steps of every velocity field the pipeline integrates
 MAX_SVF_STEPS = 1023  # the largest squaring count whose scale 2.0**steps is a finite float
 
 
@@ -63,7 +64,7 @@ def _squarings(velocity, steps: int):
         yield u
 
 
-def integrate_svf(velocity, steps: int = 7) -> np.ndarray:
+def integrate_svf(velocity, steps: int = SVF_STEPS) -> np.ndarray:
     """Flow of a stationary velocity field via scaling and squaring.
 
     The initial displacement is ``v / 2**steps``; each of the ``steps``
@@ -73,7 +74,7 @@ def integrate_svf(velocity, steps: int = 7) -> np.ndarray:
     return deque(_squarings(velocity, steps), maxlen=1)[0]
 
 
-def integrate_svf_with_tape(velocity, steps: int = 7):
+def integrate_svf_with_tape(velocity, steps: int = SVF_STEPS):
     """Like :func:`integrate_svf` but keeps every intermediate field.
 
     The tape (list of fields, scaled start first) feeds the adjoint pass
@@ -105,18 +106,15 @@ def svf_backward(grad_displacement, tape) -> np.ndarray:
     return g / scale
 
 
-def compose(transform: CompositeTransform, dims=None) -> np.ndarray:
-    """Materialize the composite fixed-to-moving map on the fixed grid.
+def compose(transform: CompositeTransform, dims) -> np.ndarray:
+    """Materialize the composite fixed-to-moving map on the fixed grid of shape ``dims``.
 
     Per fixed voxel ``x``: ``y1 = x + dense(x)``, ``y2 = y1 +
-    trilinear(coarse, y1)``, output ``A^-1 y2``.
+    trilinear(coarse, y1)``, output ``A^-1 y2``. A coarse or dense field
+    on another grid raises :class:`~embreg.errors.ShapeMismatch`.
     """
     # The coarse and dense stages share one grid (checked at construction).
     grid = next((f.shape[:3] for f in (transform.dense, transform.coarse) if f is not None), None)
-    if dims is None:
-        if grid is None:
-            raise ShapeMismatch("grid dims required for an affine-only transform")
-        dims = grid
     if grid is not None and grid != tuple(dims):
         raise ShapeMismatch(f"displacement field grid {grid} != {tuple(dims)}")
     return compose_at_points(transform, identity_grid(dims))

@@ -92,9 +92,7 @@ def test_criterion_1_gradient_correctness(capfd):
             cfg = PipelineConfig(
                 lambda_reg=float(rng.uniform(0.1, 1.0)),
                 intensity_term=term,
-                lncc_window=3,
                 parameterization=param,
-                svf_steps=4,
             )
             field = rng.normal(scale=0.3, size=idims + (3,))
             igrad = instance_gradient(field, feats_m, feats_f, img_m, img_f, cfg)

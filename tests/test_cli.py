@@ -287,13 +287,10 @@ def test_usage_error_exits_2():
     [
         "bogus_key=1",
         "match_step=abc",
-        "instance_step_size=1",
-        "feature_scale=nan",
-        "feature_scale=-1",
-        "feature_scale=0",
         "coarse_reg_weight=nan",
-        "lambda_sim=inf",
-        "instance_tol=nan",
+        "lambda_reg=inf",
+        "lambda_reg=-1",
+        "instance_iterations=0",
     ],
 )
 def test_bad_config_key_exits_3(synth_pair, tmp_path, setting):
@@ -315,7 +312,22 @@ def test_bad_config_key_exits_3(synth_pair, tmp_path, setting):
 
 @pytest.mark.parametrize(
     "setting",
-    ["feature_scale=2", "coarse_tol=1e-3", "instance_tol=1e-3", "lambda_sim=1", "coarse_iterations=200"],
+    [
+        "feature_scale=2",
+        "feature_scale=nan",
+        "feature_scale=-1",
+        "feature_scale=0",
+        "coarse_tol=1e-3",
+        "instance_tol=1e-3",
+        "instance_tol=nan",
+        "instance_step_size=1",
+        "lambda_sim=1",
+        "lambda_sim=inf",
+        "coarse_iterations=200",
+        "coarse_stride=4",
+        "svf_steps=7",
+        "lncc_window=9",
+    ],
 )
 def test_removed_config_key_exits_3(synth_pair, tmp_path, setting, capsys):
     rc = main(
@@ -414,10 +426,10 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
     config = PipelineConfig(match_step=2, enable_instance=False)
     moving = _load_bundle(synth_pair / "moving")
     fixed = _load_bundle(synth_pair / "fixed")
-    _, _, artifacts = run_pipeline(config, moving, fixed)
+    transform, _, artifacts = run_pipeline(config, moving, fixed)
 
     save_matches(artifacts["matches"], tmp_path / "matches.txt")
-    (tmp_path / "affine.json").write_text(artifacts["affine"].to_json())
+    (tmp_path / "affine.json").write_text(transform.affine.to_json())
     rc = main(
         [
             "coarse",
@@ -445,7 +457,7 @@ def test_synth_bad_dims_exits_2(tmp_path, dims):
     assert not (tmp_path / "pair").exists()
 
 
-@pytest.mark.parametrize("attrs", [None, {"stride": "two"}])
+@pytest.mark.parametrize("attrs", [None, {"stride": "two"}, {"stride": "0"}, {"stride": "-2"}])
 def test_instance_coarse_without_integer_stride_exits_3(synth_pair, tmp_path, attrs, capsys):
     lattice = tmp_path / "coarse.vol1"
     write_vol1(lattice, np.zeros((4, 4, 4, 3)), attrs=attrs)
@@ -464,6 +476,7 @@ def test_instance_coarse_without_integer_stride_exits_3(synth_pair, tmp_path, at
     )
     assert rc == 3
     assert "stride" in capsys.readouterr().err
+    assert not (tmp_path / "dense.vol1").exists()
 
 
 @pytest.mark.parametrize(
@@ -533,25 +546,6 @@ def test_stage_malformed_affine_exits_3(synth_pair, tmp_path, subcommand, conten
     assert not out.exists()
 
 
-@pytest.mark.parametrize("stride", ["0", "-2"])
-def test_register_coarse_stride_below_one_exits_3(synth_pair, tmp_path, stride, capsys):
-    rc = main(
-        [
-            "register",
-            "--moving-dir",
-            str(synth_pair / "moving"),
-            "--fixed-dir",
-            str(synth_pair / "fixed"),
-            "--out",
-            str(tmp_path / "reg"),
-            "--set",
-            f"coarse_stride={stride}",
-        ]
-    )
-    assert rc == 3
-    assert "stride must be >= 1" in capsys.readouterr().err
-
-
 def test_register_config_file_not_utf8_exits_3(synth_pair, tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_bytes(b"\xff\xfe" + "match_step = 2\n".encode("utf-16-le"))
@@ -578,9 +572,7 @@ def test_register_config_file_not_utf8_exits_3(synth_pair, tmp_path, capsys):
     [
         ("match_step=0", "match_step must be >= 1"),
         ("sscc_iterations=0", "sscc_iterations must be >= 1"),
-        ("coarse_stride=0", "coarse_stride must be >= 1"),
-        ("svf_steps=0", "svf_steps must be >= 1"),
-        ("svf_steps=2000", "svf_steps must be <= 1023"),
+        ("instance_iterations=0", "instance_iterations must be >= 1"),
     ],
 )
 def test_register_stage_bounds_exit_3_before_any_stage_runs(synth_pair, tmp_path, setting, message, capsys):

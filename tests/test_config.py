@@ -6,7 +6,6 @@ import pytest
 
 from embreg.config import PipelineConfig, apply_overrides, load_config, set_option
 from embreg.errors import ShapeMismatch
-from embreg.transform import MAX_SVF_STEPS
 
 
 def test_defaults():
@@ -14,7 +13,6 @@ def test_defaults():
     assert cfg.match_step == 4
     assert cfg.sscc_iterations == 5
     assert cfg.epsilon == 0.7
-    assert cfg.coarse_stride == 4
     assert cfg.parameterization == "displacement"
     assert cfg.enable_instance is True
 
@@ -28,16 +26,16 @@ def test_load_config_parses_types_and_comments(tmp_path):
         "intensity_term = lncc\n"
         "enable_coarse = false\n"
         "\n"
-        "svf_steps=6\n"
+        "instance_iterations=6\n"
     )
     cfg = load_config(path)
     assert cfg.match_step == 2
     assert cfg.epsilon == 0.5
     assert cfg.intensity_term == "lncc"
     assert cfg.enable_coarse is False
-    assert cfg.svf_steps == 6
+    assert cfg.instance_iterations == 6
     # untouched keys keep their defaults
-    assert cfg.coarse_stride == 4
+    assert cfg.coarse_reg_weight == 1.0
 
 
 def test_load_config_rejects_garbage(tmp_path):
@@ -90,15 +88,10 @@ def test_apply_overrides_rejects_malformed_item():
         {"lambda_reg": -1.0},
         {"intensity_term": "mi"},
         {"parameterization": "bspline"},
-        {"intensity_term": "lncc", "lncc_window": 4},
-        {"instance_iterations": 0},
-        # bounds of stages that run after others, checked before any stage runs
+        # counts below 1, checked before any stage runs
         {"match_step": 0},
         {"sscc_iterations": 0},
-        {"coarse_stride": 0},
-        {"svf_steps": 0},
-        # 2.0**svf_steps would overflow a float
-        {"svf_steps": MAX_SVF_STEPS + 1},
+        {"instance_iterations": 0},
         {"enable_affine": "yes"},
     ],
     ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()),
@@ -106,10 +99,6 @@ def test_apply_overrides_rejects_malformed_item():
 def test_code_built_config_is_checked(case):
     with pytest.raises(ShapeMismatch):
         PipelineConfig(**case)
-
-
-def test_largest_finite_squaring_count_is_accepted():
-    assert PipelineConfig(svf_steps=MAX_SVF_STEPS).svf_steps == 1023
 
 
 def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
@@ -120,10 +109,10 @@ def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
 
 
 def test_set_option_checks_the_whole_config_and_keeps_it_on_failure():
-    cfg = PipelineConfig(intensity_term="lncc")
+    cfg = PipelineConfig(lambda_reg=0.5)
     with pytest.raises(ShapeMismatch):
-        set_option(cfg, "lncc_window", "4")
-    assert cfg.lncc_window == 9
+        set_option(cfg, "lambda_reg", "-1")
+    assert cfg.lambda_reg == 0.5
 
 
 def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
@@ -136,11 +125,38 @@ def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
 
 
 @pytest.mark.parametrize(
-    "key", ["feature_scale", "coarse_tol", "instance_tol", "lambda_sim", "coarse_iterations"]
+    "key",
+    [
+        "feature_scale",
+        "coarse_tol",
+        "instance_tol",
+        "lambda_sim",
+        "coarse_iterations",
+        # fixed as coarse.STRIDE, transform.SVF_STEPS and metrics.LNCC_WINDOW
+        "coarse_stride",
+        "svf_steps",
+        "lncc_window",
+    ],
 )
 def test_removed_keys_are_not_fields(key):
     with pytest.raises(TypeError):
         PipelineConfig(**{key: 2.0})
+
+
+def test_config_fields_are_pinned():
+    assert [field.name for field in dataclasses.fields(PipelineConfig)] == [
+        "match_step",
+        "sscc_iterations",
+        "epsilon",
+        "coarse_reg_weight",
+        "lambda_reg",
+        "intensity_term",
+        "parameterization",
+        "instance_iterations",
+        "enable_affine",
+        "enable_coarse",
+        "enable_instance",
+    ]
 
 
 def test_every_config_field_is_read_by_a_stage():

@@ -182,6 +182,21 @@ def test_write_rejects_integer_code_values_the_cast_would_change(tmp_path, dtype
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_write_rejects_finite_values_f32_would_store_as_inf(tmp_path, value):
+    values = np.ones((2, 2, 2))
+    values[0, 1, 0] = value
+    with pytest.raises(ShapeMismatch, match="beyond float32's range"):
+        write_vol1(tmp_path / "f.vol1", values, dtype="f32")
+    assert os.listdir(tmp_path) == []
+    # values that are already non-finite are stored as they are
+    values[0, 1, 0] = np.inf
+    values[1, 1, 1] = np.nan
+    write_vol1(tmp_path / "f.vol1", values, dtype="f32")
+    back = read_vol1(tmp_path / "f.vol1").values[..., 0]
+    assert back[0, 1, 0] == np.inf and np.isnan(back[1, 1, 1])
+
+
 def test_write_rejects_attrs_that_cannot_round_trip(tmp_path):
     for attrs in ({"a=b": "1"}, {"a": "1\nb=2"}, {"a\rb": "1"}, {"a": "\ud800"}):
         with pytest.raises(ShapeMismatch):

@@ -96,9 +96,7 @@ def test_gradient_matches_finite_differences_displacement(term):
     feats_f = random_features(rng, dims, 6)
     img_m = rng.normal(size=dims)
     img_f = rng.normal(size=dims)
-    config = PipelineConfig(
-        lambda_reg=0.75, intensity_term=term, lncc_window=3
-    )
+    config = PipelineConfig(lambda_reg=0.75, intensity_term=term)
     field = rng.normal(scale=0.3, size=dims + (3,))
     grad = instance_gradient(field, feats_m, feats_f, img_m, img_f, config)
     idxs = [tuple(rng.integers(0, s) for s in field.shape) for _ in range(10)]
@@ -112,9 +110,7 @@ def test_gradient_matches_finite_differences_svf():
     dims = (5, 5, 5)
     feats_m = random_features(rng, dims, 4)
     feats_f = random_features(rng, dims, 4)
-    config = PipelineConfig(
-        lambda_reg=0.5, parameterization="svf", svf_steps=4
-    )
+    config = PipelineConfig(lambda_reg=0.5, parameterization="svf")
     field = rng.normal(scale=0.2, size=dims + (3,))
     grad = instance_gradient(field, feats_m, feats_f, None, None, config)
     idxs = [tuple(rng.integers(0, s) for s in field.shape) for _ in range(8)]
@@ -160,7 +156,7 @@ def test_optimize_reduces_objective_and_recovers_small_shift():
     feats_m, feats_f, shift = half_voxel_shift()
     config = PipelineConfig(lambda_reg=0.01, instance_iterations=80)
     start = instance_objective(np.zeros_like(shift), feats_m, feats_f, None, None, config)
-    out = optimize_instance(feats_m, feats_f, None, None, np.zeros_like(shift), config)
+    out = optimize_instance(feats_m, feats_f, None, None, config)
     end = instance_objective(out, feats_m, feats_f, None, None, config)
     assert end < start
     interior = out[3:-3, 3:-3, 3:-3]
@@ -173,7 +169,7 @@ def test_optimize_stops_on_progress_before_the_cap(caplog):
     config = PipelineConfig(lambda_reg=0.01)
     assert config.instance_iterations == 100
     with caplog.at_level(logging.DEBUG, logger="embreg.descent"):
-        out = optimize_instance(feats_m, feats_f, None, None, np.zeros_like(shift), config)
+        out = optimize_instance(feats_m, feats_f, None, None, config)
     (message,) = [r.getMessage() for r in caplog.records if r.name == "embreg.descent"]
     assert message.endswith("stop progress")
     assert int(message.split()[1]) < 1 + config.instance_iterations
@@ -184,8 +180,8 @@ def test_optimize_svf_returns_integrated_displacement():
     rng = np.random.default_rng(6)
     dims = (6, 6, 6)
     feats = random_features(rng, dims, 4)
-    config = PipelineConfig(parameterization="svf", svf_steps=3, instance_iterations=2)
-    out = optimize_instance(feats, feats, None, None, np.zeros(dims + (3,)), config)
+    config = PipelineConfig(parameterization="svf", instance_iterations=2)
+    out = optimize_instance(feats, feats, None, None, config)
     assert out.shape == dims + (3,)
     np.testing.assert_allclose(out, 0.0, atol=1e-10)
 

@@ -9,7 +9,7 @@ from embreg.grid import identity_grid
 from embreg.matching import select_points
 from embreg.pipeline import run_pipeline
 from embreg.synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
-from embreg.transform import compose
+from embreg.transform import CompositeTransform, compose
 
 
 def synth_case(seed, dims=(16, 16, 16), amplitude=1.0, translation=(1.0, 0.0, -0.5)):
@@ -85,7 +85,7 @@ def test_pipeline_affine_only_recovers_pure_translation():
 
 def test_pipeline_svf_mode_runs_without_folding():
     moving, fixed, _, landmarks = synth_case(seed=4)
-    cfg = fast_config(parameterization="svf", svf_steps=5, instance_iterations=15)
+    cfg = fast_config(parameterization="svf", instance_iterations=15)
     _, report, _ = run_pipeline(cfg, moving, fixed, landmarks=landmarks)
     assert report.folding_fraction == 0.0
     initial = float(np.mean(np.linalg.norm(landmarks[0] - landmarks[1], axis=1)))
@@ -152,3 +152,12 @@ def test_pipeline_final_map_matches_compose_of_returned_transform():
     np.testing.assert_allclose(
         artifacts["final_map"], compose(transform, fixed.dims), atol=1e-12
     )
+
+
+def test_pipeline_artifacts_hold_only_what_the_transform_does_not():
+    moving, fixed, _, _ = synth_case(seed=7, dims=(12, 12, 12))
+    transform, _, artifacts = run_pipeline(fast_config(instance_iterations=5), moving, fixed)
+    # the affine and the upsampled coarse field are read from the transform
+    assert set(artifacts) == {"matches", "coarse_field", "pre_map", "final_map"}
+    pre_map = compose(CompositeTransform(affine=transform.affine, coarse=transform.coarse), fixed.dims)
+    assert artifacts["pre_map"].tobytes() == pre_map.tobytes()

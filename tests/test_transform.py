@@ -106,6 +106,12 @@ def test_squaring_count_whose_scale_is_not_a_finite_float_is_rejected(steps):
         integrate_svf(v, steps=steps)
 
 
+def test_largest_finite_squaring_count_is_accepted():
+    # a constant velocity flows to itself
+    v = np.ones((3, 3, 3, 3))
+    np.testing.assert_allclose(integrate_svf(v, steps=MAX_SVF_STEPS), v, rtol=1e-12)
+
+
 def test_compose_affine_only_is_inverse_affine_of_grid():
     rng = np.random.default_rng(4)
     t = AffineTransform.from_linear_translation(
@@ -124,7 +130,7 @@ def test_compose_identity_stages_is_identity_grid():
         coarse=np.zeros(dims + (3,)),
         dense=np.zeros(dims + (3,)),
     )
-    np.testing.assert_allclose(compose(t), identity_grid(dims), atol=1e-15)
+    np.testing.assert_allclose(compose(t, dims), identity_grid(dims), atol=1e-15)
 
 
 def test_compose_constant_stages_add_before_inverse_affine():
@@ -135,7 +141,7 @@ def test_compose_constant_stages_add_before_inverse_affine():
     dense[..., 2] = 0.5
     affine = AffineTransform.from_linear_translation(np.eye(3) * 2.0, [0.0, 0.0, 0.0])
     t = CompositeTransform(affine=affine, coarse=coarse, dense=dense)
-    out = compose(t)
+    out = compose(t, dims)
     # constant fields: y2 = x + (0.5 in x) + (1 in z) sampled clamped; interior exact
     want = (identity_grid(dims) + [1.0, 0.0, 0.5]) / 2.0
     np.testing.assert_allclose(out[1:-1, 1:-1, 1:-1], want[1:-1, 1:-1, 1:-1], atol=1e-12)
@@ -149,7 +155,7 @@ def test_compose_at_points_agrees_with_dense_compose_on_nodes():
         coarse=smooth_field(rng, dims, 0.5),
         dense=smooth_field(rng, dims, 0.5),
     )
-    dense_map = compose(t)
+    dense_map = compose(t, dims)
     pts = identity_grid(dims).reshape(-1, 3)
     lazy = compose_at_points(t, pts).reshape(dims + (3,))
     np.testing.assert_allclose(lazy, dense_map, atol=1e-12)
