@@ -10,7 +10,6 @@ evaluation.
 from .affine import AffineTransform, apply_affine, fit_affine, fit_affine_points, invert_affine
 from .bundle import Bundle
 from .coarse import (
-    CoarseField,
     coarse_gradient,
     coarse_objective,
     optimize_coarse,
@@ -49,7 +48,6 @@ from .synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
 from .transform import (
     CompositeTransform,
     compose,
-    compose_at_points,
     folding_fraction,
     integrate_svf,
     jacobian_determinant,

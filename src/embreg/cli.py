@@ -14,7 +14,7 @@ import numpy as np
 
 from .affine import AffineTransform, fit_affine
 from .bundle import Bundle
-from .coarse import CoarseField, optimize_coarse, upsample_coarse
+from .coarse import STRIDE, optimize_coarse, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import open_atomic, read_vol1, write_vol1
 from .errors import CorruptContainer, NumericalDivergence, RegistrationError, ShapeMismatch
@@ -133,9 +133,9 @@ def cmd_coarse(args) -> int:
     matches = load_matches(args.matches)
     affine = AffineTransform.from_json(Path(args.affine).read_bytes())
     dims = read_vol1(args.fixed_features).values.shape[:3]
-    field = optimize_coarse(matches, affine, dims, config)
-    write_vol1(args.out, field.lattice, attrs={"stride": str(field.stride)})
-    print(f"coarse lattice {field.lattice.shape[:3]} -> {args.out}")
+    lattice = optimize_coarse(matches, affine, dims, config)
+    write_vol1(args.out, lattice, attrs={"stride": str(STRIDE)})
+    print(f"coarse lattice {lattice.shape[:3]} -> {args.out}")
     return 0
 
 
@@ -151,12 +151,9 @@ def cmd_instance(args) -> int:
     coarse_dense = None
     if args.coarse:
         vol = read_vol1(args.coarse)
-        try:
-            stride = int(vol.attrs["stride"])
-        except (KeyError, ValueError) as exc:
-            raise CorruptContainer(f"{args.coarse}: lattice needs an integer 'stride' attribute") from exc
-        field = CoarseField(stride=stride, lattice=vol.values)
-        coarse_dense = upsample_coarse(field, fixed.dims)
+        if vol.attrs.get("stride") != str(STRIDE):
+            raise CorruptContainer(f"{args.coarse}: lattice needs the attribute stride={STRIDE}")
+        coarse_dense = upsample_coarse(vol.values, fixed.dims)
     dense, _ = instance_stage(config, moving, fixed, affine, coarse_dense)
     write_vol1(args.out, dense)
     print(f"instance field -> {args.out}")
@@ -209,6 +206,8 @@ def cmd_eval(args) -> int:
                 f"{args.gt_map}: ground-truth map {gt.shape} must be (D,H,W,3) on the "
                 f"fixed labels' grid {fixed_labels.shape}"
             )
+        if not np.all(np.isfinite(gt)):
+            raise ShapeMismatch(f"{args.gt_map}: non-finite ground-truth map")
         pts_f = select_points(fixed_labels.shape, 4).astype(np.float64)
         pts_m = gt[pts_f[:, 0].astype(int), pts_f[:, 1].astype(int), pts_f[:, 2].astype(int)]
         landmarks = (pts_m, pts_f)

@@ -108,10 +108,10 @@ def run_pipeline(
     coarse_dense = None
     if config.enable_coarse:
         t0 = time.perf_counter()
-        coarse_field = _stage("coarse", lambda: optimize_coarse(matches, affine, dims, config))
-        coarse_dense = upsample_coarse(coarse_field, dims)
+        lattice = _stage("coarse", lambda: optimize_coarse(matches, affine, dims, config))
+        coarse_dense = upsample_coarse(lattice, dims)
         timings["coarse"] = time.perf_counter() - t0
-        artifacts["coarse_field"] = coarse_field
+        artifacts["coarse_field"] = lattice
 
     dense = None
     if config.enable_instance:

@@ -81,6 +81,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.feature_smoothness, self.warp_smoothness, self.warp_amplitude))):
+            raise ShapeMismatch("smoothness and warp amplitude must be finite")
         if self.feature_smoothness <= 0 or self.warp_smoothness <= 0:
             raise ShapeMismatch("smoothness parameters must be > 0")
         if self.warp_amplitude < 0:

@@ -110,19 +110,15 @@ def compose(transform: CompositeTransform, dims) -> np.ndarray:
     """Materialize the composite fixed-to-moving map on the fixed grid of shape ``dims``.
 
     Per fixed voxel ``x``: ``y1 = x + dense(x)``, ``y2 = y1 +
-    trilinear(coarse, y1)``, output ``A^-1 y2``. A coarse or dense field
-    on another grid raises :class:`~embreg.errors.ShapeMismatch`.
+    trilinear(coarse, y1)``, output ``A^-1 y2``, shaped ``dims + (3,)``.
+    ``coarse`` is the upsampled field, not the lattice. A coarse or dense
+    field on another grid raises :class:`~embreg.errors.ShapeMismatch`.
     """
     # The coarse and dense stages share one grid (checked at construction).
     grid = next((f.shape[:3] for f in (transform.dense, transform.coarse) if f is not None), None)
     if grid is not None and grid != tuple(dims):
         raise ShapeMismatch(f"displacement field grid {grid} != {tuple(dims)}")
-    return compose_at_points(transform, identity_grid(dims))
-
-
-def compose_at_points(transform: CompositeTransform, points) -> np.ndarray:
-    """Lazily evaluate the composite map at continuous fixed-grid points."""
-    pts = np.asarray(points, dtype=np.float64)
+    pts = identity_grid(dims)
     y = pts if transform.dense is None else pts + trilinear_sample(transform.dense, pts)
     if transform.coarse is not None:
         y = y + trilinear_sample(transform.coarse, y)

@@ -10,7 +10,6 @@ import numpy as np
 
 from embreg.affine import AffineTransform, apply_affine, fit_affine_points, invert_affine
 from embreg.coarse import (
-    CoarseField,
     coarse_gradient,
     coarse_objective,
     optimize_coarse,
@@ -69,15 +68,15 @@ def test_criterion_1_gradient_correctness(capfd):
             )
             lam = float(rng.uniform(0.1, 2.0))
             lattice = rng.normal(scale=0.5, size=(2, 2, 2, 3))
-            grad = coarse_gradient(CoarseField(4, lattice), ms, affine, lam)
+            grad = coarse_gradient(lattice, ms, affine, lam)
             for idx in np.ndindex(lattice.shape):
                 lp = lattice.copy()
                 lp[idx] += h
                 lm = lattice.copy()
                 lm[idx] -= h
                 fd = (
-                    coarse_objective(CoarseField(4, lp), ms, affine, lam)
-                    - coarse_objective(CoarseField(4, lm), ms, affine, lam)
+                    coarse_objective(lp, ms, affine, lam)
+                    - coarse_objective(lm, ms, affine, lam)
                 ) / (2 * h)
                 worst_coarse = max(worst_coarse, _rel_err(grad[idx], fd))
 

@@ -222,6 +222,30 @@ def test_instance_with_lattice_of_another_grid_exits_3(synth_pair, tmp_path, cap
     assert not out.exists()
 
 
+def test_instance_with_non_finite_lattice_exits_3(synth_pair, tmp_path, capsys):
+    values = np.zeros((4, 4, 4, 3))
+    values[1, 2, 3, 0] = np.nan
+    lattice = tmp_path / "coarse.vol1"
+    write_vol1(lattice, values, attrs={"stride": "4"})
+    out = tmp_path / "dense.vol1"
+    rc = main(
+        [
+            "instance",
+            "--moving-dir",
+            str(synth_pair / "moving"),
+            "--fixed-dir",
+            str(synth_pair / "fixed"),
+            "--coarse",
+            str(lattice),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "non-finite lattice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_of_coarse_only_transform_on_another_grid_exits_3(synth_pair, tmp_path, capsys):
     from embreg.affine import AffineTransform
 
@@ -445,8 +469,19 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
     )
     assert rc == 0
     np.testing.assert_array_equal(
-        read_vol1(tmp_path / "coarse.vol1").values, artifacts["coarse_field"].lattice
+        read_vol1(tmp_path / "coarse.vol1").values, artifacts["coarse_field"]
     )
+
+
+@pytest.mark.parametrize(
+    "option",
+    ["--feature-smoothness=inf", "--feature-smoothness=nan", "--warp-smoothness=inf", "--warp-amplitude=nan"],
+)
+def test_synth_non_finite_spec_exits_3(tmp_path, option, capsys):
+    rc = main(["synth", "--out", str(tmp_path / "pair"), option])
+    assert rc == 3
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "pair").exists()
 
 
 @pytest.mark.parametrize("dims", ["a,b,c", "1,2", "0,4,4", "-3,4,4"])
@@ -457,10 +492,14 @@ def test_synth_bad_dims_exits_2(tmp_path, dims):
     assert not (tmp_path / "pair").exists()
 
 
-@pytest.mark.parametrize("attrs", [None, {"stride": "two"}, {"stride": "0"}, {"stride": "-2"}])
+@pytest.mark.parametrize(
+    "attrs", [None, {"stride": "two"}, {"stride": "0"}, {"stride": "-2"}, {"stride": "2"}]
+)
 def test_instance_coarse_without_integer_stride_exits_3(synth_pair, tmp_path, attrs, capsys):
+    # ceil(14 / 2) = 7 nodes an axis: the lattice a stride of 2 would give on this 14^3 pair
+    nodes = 7 if attrs == {"stride": "2"} else 4
     lattice = tmp_path / "coarse.vol1"
-    write_vol1(lattice, np.zeros((4, 4, 4, 3)), attrs=attrs)
+    write_vol1(lattice, np.zeros((nodes, nodes, nodes, 3)), attrs=attrs)
     rc = main(
         [
             "instance",
@@ -661,6 +700,32 @@ def test_eval_gt_map_on_another_grid_exits_3(synth_pair, tmp_path, gt_shape, cap
     )
     assert rc == 3
     assert "ground-truth map" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_non_finite_gt_map_exits_3(synth_pair, tmp_path, capsys):
+    _identity_transform(tmp_path)
+    gt = read_vol1(synth_pair / "gt_map.vol1").values.copy()
+    gt[2, 2, 2, 0] = np.nan  # (2, 2, 2) is a landmark: select_points starts at step // 2
+    write_vol1(tmp_path / "gt_map.vol1", gt)
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            str(synth_pair / "moving/labels.vol1"),
+            "--fixed-labels",
+            str(synth_pair / "fixed/labels.vol1"),
+            "--gt-map",
+            str(tmp_path / "gt_map.vol1"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "non-finite ground-truth map" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -147,3 +147,10 @@ def test_spec_validation():
         SynthSpec(channels=2)
     with pytest.raises(ShapeMismatch):
         SynthSpec(label_count=0)
+
+
+@pytest.mark.parametrize("field", ["feature_smoothness", "warp_smoothness", "warp_amplitude"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_spec_rejects_non_finite_values(field, value):
+    with pytest.raises(ShapeMismatch, match="finite"):
+        SynthSpec(**{field: value})

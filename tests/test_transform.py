@@ -8,7 +8,6 @@ from embreg.transform import (
     MAX_SVF_STEPS,
     CompositeTransform,
     compose,
-    compose_at_points,
     folding_fraction,
     integrate_svf,
     integrate_svf_with_tape,
@@ -145,20 +144,6 @@ def test_compose_constant_stages_add_before_inverse_affine():
     # constant fields: y2 = x + (0.5 in x) + (1 in z) sampled clamped; interior exact
     want = (identity_grid(dims) + [1.0, 0.0, 0.5]) / 2.0
     np.testing.assert_allclose(out[1:-1, 1:-1, 1:-1], want[1:-1, 1:-1, 1:-1], atol=1e-12)
-
-
-def test_compose_at_points_agrees_with_dense_compose_on_nodes():
-    rng = np.random.default_rng(5)
-    dims = (7, 7, 7)
-    t = CompositeTransform(
-        affine=AffineTransform.from_linear_translation(np.eye(3), [0.5, -0.25, 0.0]),
-        coarse=smooth_field(rng, dims, 0.5),
-        dense=smooth_field(rng, dims, 0.5),
-    )
-    dense_map = compose(t, dims)
-    pts = identity_grid(dims).reshape(-1, 3)
-    lazy = compose_at_points(t, pts).reshape(dims + (3,))
-    np.testing.assert_allclose(lazy, dense_map, atol=1e-12)
 
 
 def test_composite_rejects_mismatched_stage_grids():
