@@ -158,10 +158,14 @@ def read_vol1(path) -> Vol1:
             f"{path}: payload length {len(payload)} != expected {expected}"
         )
     arr = np.frombuffer(payload, dtype=np_dtype).reshape(c, d, h, w)
-    return Vol1(
-        values=np.moveaxis(arr, 0, -1).astype(
+    # A signalling NaN in an f32 payload reads as a quiet NaN; the cast's
+    # "invalid" flag says nothing more.
+    with np.errstate(invalid="ignore"):
+        values = np.moveaxis(arr, 0, -1).astype(
             np.float64 if dtype in ("f32", "f64") else np.int64, order="C"
-        ),
+        )
+    return Vol1(
+        values=values,
         spacing=(sz, sy, sx),
         dtype=dtype,
         attrs=attrs,

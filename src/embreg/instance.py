@@ -16,7 +16,7 @@ from .descent import PROGRESS, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
 from .grid import Stencil, check_vector_field, identity_grid, normalize_rows
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
-from .metrics import lncc_gradient, ncc_gradient
+from .metrics import lncc_fixed, lncc_gradient, ncc_gradient
 from .transform import integrate_svf, integrate_svf_with_tape, svf_backward
 
 
@@ -67,28 +67,35 @@ def reg_loss(field) -> float:
 def instance_objective(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> float:
     """Similarity losses on the warp plus ``lambda_reg`` times smoothness on the field."""
     field = np.asarray(field, dtype=np.float64)
-    return _loss(field, feats_m, *_fixed_side(feats_f), img_m, img_f, config)[0]
+    return _loss(field, feats_m, img_m, *_fixed_side(feats_f, img_f, config), config)[0]
 
 
 def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> np.ndarray:
     """Analytic gradient of :func:`instance_objective` w.r.t. the field."""
     field = np.asarray(field, dtype=np.float64)
-    return _loss(field, feats_m, *_fixed_side(feats_f), img_m, img_f, config)[1]()
+    return _loss(field, feats_m, img_m, *_fixed_side(feats_f, img_f, config), config)[1]()
 
 
-def _fixed_side(feats_f):
-    """The fixed features as float64 and their :func:`_unmasked` mask, constant over a descent."""
+def _fixed_side(feats_f, img_f, config):
+    """The fixed features as float64, their :func:`_unmasked` mask and the fixed image.
+
+    These are constant over a descent. Under LNCC the image comes with its
+    window sums (:func:`~embreg.metrics.lncc_fixed`), computed here once.
+    """
     f = np.asarray(feats_f, dtype=np.float64)
-    return f, _unmasked(f)
+    if config.intensity_term == "lncc" and img_f is not None:
+        img_f = lncc_fixed(img_f)
+    return f, _unmasked(f), img_f
 
 
-def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
-    """Instance objective at ``field`` and a one-shot closure for its gradient.
+def _loss(field, feats_m, img_m, feats_f, fixed_unmasked, img_f, config):
+    """Instance objective at ``field``, a one-shot closure for its gradient, and the displacement.
 
     The closure reuses this forward pass (SVF tape, sampled features and the
     stencil of the warped grid, whose derivatives only the closure computes);
-    the intensity correlation's gradient comes with its value. ``feats_f`` and
-    ``fixed_unmasked`` come from :func:`_fixed_side`.
+    the intensity correlation's gradient comes with its value. ``feats_f``,
+    ``fixed_unmasked`` and ``img_f`` come from :func:`_fixed_side`. The
+    displacement is ``field`` itself, or in velocity mode its integral.
     """
     if config.parameterization == "svf":
         displacement, tape = integrate_svf_with_tape(field)
@@ -117,7 +124,7 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
     reg_value, reg_gradient = smoothness(field)
     value = sim_value + config.lambda_reg * reg_value
 
-    def similarity_gradient() -> np.ndarray:
+    def feature_gradient() -> np.ndarray:
         def g_raw(block):
             # back through per-voxel re-normalization: (I - s s^T) / |raw|
             g = sam_gradient(block)
@@ -127,43 +134,59 @@ def _loss(field, feats_m, feats_f, fixed_unmasked, img_m, img_f, config):
             g[masked[block]] = 0.0
             return g
 
-        g_disp = stencil.vjp(feats_m, g_raw)
-        if config.intensity_term != "none":
-            g_disp += stencil.vjp(img_m, -g_img)
-        return g_disp
+        return stencil.vjp(feats_m, g_raw)
+
+    def intensity_gradient() -> np.ndarray:
+        return stencil.vjp(img_m, -g_img)
 
     def gradient() -> np.ndarray:
-        nonlocal similarity_gradient
-        g_disp = similarity_gradient()
-        # Free the sampled features before the SVF adjoint allocates its own.
-        similarity_gradient = None
+        nonlocal feature_gradient, intensity_gradient
+        g_disp = feature_gradient()
+        # Free the sampled features before the intensity term's product, and
+        # the stencil before the SVF adjoint builds its own.
+        feature_gradient = None
+        if config.intensity_term != "none":
+            g_disp += intensity_gradient()
+        intensity_gradient = None
         g_field = svf_backward(g_disp, tape) if tape is not None else g_disp
         return g_field + config.lambda_reg * reg_gradient()
 
-    return value, gradient
+    return value, gradient, displacement
 
 
 def optimize_instance(feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> np.ndarray:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`); returns the final displacement.
 
-    The descent starts from the zero field on the fixed grid. In velocity
-    mode the returned field is the displacement integrated with
-    :data:`~embreg.transform.SVF_STEPS` squarings; LNCC uses a window of
-    :data:`~embreg.metrics.LNCC_WINDOW` voxels. Reads ``lambda_reg``,
-    ``intensity_term``, ``parameterization`` and ``instance_iterations``
-    from ``config``. The similarity terms carry no weight of their own: the
-    descent does not see the objective's scale, so ``lambda_reg`` alone sets
-    the trade-off. ``instance_iterations`` is a cap, and the descent stops
-    earlier once an iteration gains less than
+    The descent starts from the zero field on the fixed grid, whose velocity
+    integrates to zero without sampling. In velocity mode the returned field
+    is the displacement integrated with :data:`~embreg.transform.SVF_STEPS`
+    squarings: the one the descent's last evaluation integrated when that was
+    the returned velocity (every stop but ``stall``), else integrated once
+    more. LNCC uses a window of :data:`~embreg.metrics.LNCC_WINDOW` voxels,
+    and the fixed image's window sums are computed once a descent. Reads
+    ``lambda_reg``, ``intensity_term``, ``parameterization`` and
+    ``instance_iterations`` from ``config``. The similarity terms carry no
+    weight of their own: the descent does not see the objective's scale, so
+    ``lambda_reg`` alone sets the trade-off. ``instance_iterations`` is a
+    cap, and the descent stops earlier once an iteration gains less than
     :data:`~embreg.descent.PROGRESS` of the decrease so far.
     """
-    fixed = _fixed_side(feats_f)
+    fixed = _fixed_side(feats_f, img_f, config)
+    last = {}  # the field and displacement of the latest evaluation
+
+    def evaluate(field):
+        # Drop the previous trial's displacement before this one is integrated.
+        last.clear()
+        value, gradient, last["displacement"] = _loss(field, feats_m, img_m, *fixed, config)
+        last["field"] = field
+        return value, gradient
+
     field = descend(
-        lambda f: _loss(f, feats_m, *fixed, img_m, img_f, config),
+        evaluate,
         np.zeros(np.shape(feats_f)[:3] + (3,)),
         config.instance_iterations,
         progress=PROGRESS,
     )
-    if config.parameterization == "svf":
-        return integrate_svf(field)
-    return field
+    if last["field"] is field:
+        return last["displacement"]
+    return integrate_svf(field) if config.parameterization == "svf" else field

@@ -114,18 +114,35 @@ def _box_sum(arr: np.ndarray, window: int) -> np.ndarray:
     return out * float(window**arr.ndim)
 
 
-def _lncc_stats(a: np.ndarray, b: np.ndarray, window: int):
-    ones = np.ones_like(a)
-    n = _box_sum(ones, window)
-    mean_a = _box_sum(a, window) / n
-    mean_b = _box_sum(b, window) / n
-    saa = _box_sum(a * a, window) - n * mean_a * mean_a
-    sbb = _box_sum(b * b, window) - n * mean_b * mean_b
-    sab = _box_sum(a * b, window) - n * mean_a * mean_b
-    good = (saa > _VAR_EPS) & (sbb > _VAR_EPS)
-    denom = np.sqrt(np.where(good, saa * sbb, 1.0))
-    corr = np.where(good, sab / denom, 0.0)
-    return corr, good, denom, saa, mean_a, mean_b
+@dataclass(frozen=True)
+class LnccFixed:
+    """A fixed volume with the LNCC window sums that depend on it alone.
+
+    Made by :func:`lncc_fixed`; :func:`lncc_gradient` takes it in place of the
+    fixed volume, so a descent that compares many warped volumes against one
+    fixed volume computes these sums once.
+    """
+
+    volume: np.ndarray
+    window: int
+    count: np.ndarray  # voxels in each truncated window
+    mean: np.ndarray
+    centred: np.ndarray  # sum of squared deviations from the window mean
+
+
+def lncc_fixed(b, window: int = LNCC_WINDOW) -> LnccFixed:
+    """The window sums of ``b`` that :func:`lncc_gradient` needs, for reuse across calls."""
+    if window < 3 or window % 2 == 0:
+        raise ShapeMismatch(f"window must be odd and >= 3, got {window}")
+    bv = np.asarray(b, dtype=np.float64)
+    # The three sums outlive many evaluations; one block holds them, which
+    # fragments the heap less than three separate arrays.
+    sums = np.empty((3,) + bv.shape)
+    n, mean_b, sbb = sums
+    n[...] = _box_sum(np.ones_like(bv), window)
+    np.divide(_box_sum(bv, window), n, out=mean_b)
+    sbb[...] = _box_sum(bv * bv, window) - n * mean_b * mean_b
+    return LnccFixed(bv, window, n, mean_b, sbb)
 
 
 def lncc(a, b, window: int = LNCC_WINDOW) -> float:
@@ -137,15 +154,23 @@ def lncc_gradient(a, b, window: int = LNCC_WINDOW) -> tuple[float, np.ndarray]:
     """Mean windowed NCC and its gradient with respect to ``a``.
 
     Each voxel participates in every window containing it; the per-window
-    terms are accumulated with truncated box sums.
+    terms are accumulated with truncated box sums. ``b`` is the fixed volume
+    or its :func:`lncc_fixed` sums for the same ``window``; both give the
+    same bytes.
     """
+    fixed = b if isinstance(b, LnccFixed) else lncc_fixed(b, window)
+    if fixed.window != window:
+        raise ShapeMismatch(f"fixed sums are for window {fixed.window}, not {window}")
     av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
+    bv, n, mean_b, sbb = fixed.volume, fixed.count, fixed.mean, fixed.centred
     if av.shape != bv.shape:
         raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
-    if window < 3 or window % 2 == 0:
-        raise ShapeMismatch(f"window must be odd and >= 3, got {window}")
-    corr, good, denom, saa, mean_a, mean_b = _lncc_stats(av, bv, window)
+    mean_a = _box_sum(av, window) / n
+    saa = _box_sum(av * av, window) - n * mean_a * mean_a
+    sab = _box_sum(av * bv, window) - n * mean_a * mean_b
+    good = (saa > _VAR_EPS) & (sbb > _VAR_EPS)
+    denom = np.sqrt(np.where(good, saa * sbb, 1.0))
+    corr = np.where(good, sab / denom, 0.0)
     value = float(corr.mean())
     inv_d = np.where(good, 1.0 / denom, 0.0)
     c_over_saa = np.where(good, corr / np.where(good, saa, 1.0), 0.0)
@@ -169,6 +194,8 @@ def landmark_error(points_moving, points_fixed, mapping, spacing=(1.0, 1.0, 1.0)
     pf = np.asarray(points_fixed, dtype=np.float64)
     if pm.shape != pf.shape or pm.ndim != 2 or pm.shape[1] != 3:
         raise PairingError(f"point lists must pair by index: {pm.shape} vs {pf.shape}")
+    if len(pm) == 0:
+        raise PairingError("no landmark pairs")
     mapped = np.asarray(mapping(pf), dtype=np.float64)
     if mapped.shape != pm.shape:
         raise PairingError(f"mapping returned shape {mapped.shape}, expected {pm.shape}")

@@ -53,12 +53,19 @@ def _scale(steps: int) -> float:
 
 
 def _squarings(velocity, steps: int):
-    """Yield ``v / 2**steps`` and then each of its ``steps`` self-compositions."""
+    """Yield ``v / 2**steps`` and then each of its ``steps`` self-compositions.
+
+    A zero ``v`` composes to zero: each squaring would sample a zero field at
+    the grid nodes, so one zero array is yielded ``steps`` times unsampled.
+    """
     v = check_vector_field(velocity)
     scale = _scale(steps)
-    grid = identity_grid(v.shape[:3])
     u = v / scale
     yield u
+    if not u.any():
+        yield from [np.zeros_like(u)] * int(steps)
+        return
+    grid = identity_grid(v.shape[:3])
     for _ in range(int(steps)):
         u = u + trilinear_sample(u, grid + u)
         yield u
@@ -93,16 +100,21 @@ def svf_backward(grad_displacement, tape) -> np.ndarray:
     points serves the last two; it is rebuilt from the tape per step rather
     than kept on the tape, which would hold every stencil at once. The tape
     of :func:`integrate_svf_with_tape` gives the count: ``len(tape) - 1``
-    squarings.
+    squarings. The tape of a zero velocity samples at the grid nodes, where
+    each step maps ``g`` to ``g + 0 + g``, so a copy of ``g`` is returned
+    without running the steps.
     """
     scale = _scale(len(tape) - 1)
     g = np.asarray(grad_displacement, dtype=np.float64)
+    if not tape[0].any():
+        return g.copy()
     dims = g.shape[:3]
     flat_grid = identity_grid(dims).reshape(-1, 3)
     for u in reversed(tape[:-1]):
         g_flat = g.reshape(-1, 3)
         stencil = Stencil(flat_grid + u.reshape(-1, 3), dims)
         g = (g_flat + stencil.vjp(u, g_flat)).reshape(g.shape) + stencil.adjoint(g_flat)
+        del stencil  # so that the next step's build does not hold two stencils
     return g / scale
 
 

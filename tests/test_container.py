@@ -71,6 +71,16 @@ def test_attrs_sorted_in_file(tmp_path):
     assert blob.index(b"alpha=2") < blob.index(b"zeta=1")
 
 
+def test_f32_signalling_nan_reads_as_nan(tmp_path):
+    path = tmp_path / "n.vol1"
+    write_vol1(path, np.full((1, 1, 2), np.inf), dtype="f32")
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = struct.pack("<I", 0x7F800001)  # a signalling NaN
+    path.write_bytes(bytes(blob))
+    values = read_vol1(path).values[0, 0, :, 0]
+    assert values[0] == np.inf and np.isnan(values[1])
+
+
 def test_payload_is_channel_major(tmp_path):
     field = np.zeros((1, 1, 2, 2))
     field[0, 0, :, 0] = [1.0, 2.0]

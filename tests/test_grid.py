@@ -177,7 +177,7 @@ def _coordinate(d: int, smooth: bool):
 def stencil_cases(draw, smooth=False):
     """A grid (axes of size 1 and 2 included), points on it, and a seed for field values."""
     dims = draw(st.tuples(*[st.integers(1, 5)] * 3))
-    channels = draw(st.sampled_from([None, 1, 3]))
+    channels = draw(st.sampled_from([None, 1, 3, 4]))
     n = draw(st.integers(1, 6))
     coords = [[draw(_coordinate(d, smooth)) for d in dims] for _ in range(n)]
     return dims, channels, np.array(coords), draw(st.integers(0, 2**32 - 1))
@@ -311,6 +311,24 @@ def test_stencil_vjp_takes_cotangent_rows_from_a_function():
         assert asked == row_blocks(60, 6)
         assert len(asked) == 9
     assert got.tobytes() == stencil.vjp(field, g).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(stencil_cases(), st.sampled_from([1, 2, 3]))
+def test_stencil_vjp_channel_products_match_einsum(case, channels):
+    dims, _, pts, seed = case
+    rng = np.random.default_rng(seed)
+    field = rng.normal(size=dims + (channels,))
+    stencil = Stencil(pts, dims)
+    g = rng.normal(size=(len(pts), channels))
+    got = stencil.vjp(field, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_PRODUCT_CHANNELS", 0)
+        want = stencil.vjp(field, g)
+    if channels == 1:
+        assert got.tobytes() == want.tobytes()
+    else:  # the channel sum may round in another order
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,8 +3,9 @@ import logging
 import numpy as np
 import pytest
 
-from embreg import grid
+from embreg import grid, instance
 from embreg.config import PipelineConfig
+from embreg.descent import descend
 from embreg.errors import EmptyOverlap, ShapeMismatch
 from embreg.grid import normalize_features, warp_features
 from embreg.instance import (
@@ -15,24 +16,27 @@ from embreg.instance import (
     sam_loss,
 )
 from embreg.synth import make_atlas, SynthSpec
+from embreg.transform import integrate_svf
 
 
 def random_features(rng, dims, channels):
     return normalize_features(rng.normal(size=dims + (channels,)))
 
 
-def fd_gradient(field, args, config, indices, h=1e-5):
+def fd_gradient(field, args, config, indices, h=1e-5, forward=False):
+    """Central differences, or forward differences with ``forward``."""
     feats_m, feats_f, img_m, img_f = args
     out = {}
     for idx in indices:
         fp = field.copy()
         fp[idx] += h
         fm = field.copy()
-        fm[idx] -= h
+        if not forward:
+            fm[idx] -= h
         out[idx] = (
             instance_objective(fp, feats_m, feats_f, img_m, img_f, config)
             - instance_objective(fm, feats_m, feats_f, img_m, img_f, config)
-        ) / (2 * h)
+        ) / ((1 if forward else 2) * h)
     return out
 
 
@@ -111,12 +115,21 @@ def test_gradient_matches_finite_differences_svf():
     feats_m = random_features(rng, dims, 4)
     feats_f = random_features(rng, dims, 4)
     config = PipelineConfig(lambda_reg=0.5, parameterization="svf")
+    args = (feats_m, feats_f, None, None)
     field = rng.normal(scale=0.2, size=dims + (3,))
-    grad = instance_gradient(field, feats_m, feats_f, None, None, config)
+    grad = instance_gradient(field, *args, config)
     idxs = [tuple(rng.integers(0, s) for s in field.shape) for _ in range(8)]
-    fd = fd_gradient(field, (feats_m, feats_f, None, None), config, idxs)
-    for idx, want in fd.items():
+    for idx, want in fd_gradient(field, args, config, idxs).items():
         assert grad[idx] == pytest.approx(want, abs=1e-6)
+    # The zero field samples at grid nodes, where the interpolant has a kink:
+    # the gradient is the slope of the cell above, as a forward difference
+    # sees it, away from the low face where the point is clamped.
+    zero = np.zeros_like(field)
+    grad = instance_gradient(zero, *args, config)
+    idxs = [idx for idx in idxs if idx[idx[3]] > 0]
+    assert len(idxs) >= 4
+    for idx, want in fd_gradient(zero, args, config, idxs, h=1e-7, forward=True).items():
+        assert grad[idx] == pytest.approx(want, abs=2e-8)
 
 
 @pytest.mark.parametrize("parameterization", ["displacement", "svf"])
@@ -184,6 +197,37 @@ def test_optimize_svf_returns_integrated_displacement():
     out = optimize_instance(feats, feats, None, None, config)
     assert out.shape == dims + (3,)
     np.testing.assert_allclose(out, 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("parameterization", ["svf", "displacement"])
+@pytest.mark.parametrize("rejected_last", [False, True])
+def test_optimize_returns_the_displacement_of_the_descended_field(
+    monkeypatch, parameterization, rejected_last
+):
+    spec = SynthSpec(dims=(8, 8, 8), channels=4, seed=2)
+    feats_f, _, img_f = make_atlas(spec)
+    shift = np.zeros((8, 8, 8, 3))
+    shift[..., 2] = 0.5
+    pull = grid.identity_grid((8, 8, 8)) - shift
+    feats_m, img_m = warp_features(feats_f, pull), grid.warp_scalar(img_f, pull)
+    config = PipelineConfig(
+        intensity_term="lncc", parameterization=parameterization, instance_iterations=4
+    )
+    descended = []
+
+    def recording_descend(evaluate, x0, iterations, progress):
+        x = descend(evaluate, x0, iterations, progress)
+        if rejected_last:  # as at a ``stall`` stop: the last evaluation is not ``x``
+            evaluate(x + 1.0)
+        descended.append(x)
+        return x
+
+    monkeypatch.setattr(instance, "descend", recording_descend)
+    out = optimize_instance(feats_m, feats_f, img_m, img_f, config)
+    (field,) = descended
+    assert np.any(field)
+    want = integrate_svf(field) if parameterization == "svf" else field
+    assert out.tobytes() == want.tobytes()
 
 
 def test_intensity_term_requires_images():

@@ -7,6 +7,7 @@ from embreg.metrics import (
     dice,
     landmark_error,
     lncc,
+    lncc_fixed,
     lncc_gradient,
     ncc,
     ncc_gradient,
@@ -161,6 +162,24 @@ def test_lncc_gradient_matches_finite_differences():
         assert grad[idx] == pytest.approx(fd, abs=1e-7)
 
 
+@pytest.mark.parametrize("window", [3, 5])
+def test_lncc_fixed_sums_give_the_bytes_of_one_shot_gradient(window):
+    rng = np.random.default_rng(8)
+    b = rng.normal(size=(6, 5, 7))
+    b[:3] = 2.0  # constant windows on the fixed side
+    fixed = lncc_fixed(b, window)
+    for _ in range(3):
+        a = rng.normal(size=b.shape)
+        value, grad = lncc_gradient(a, fixed, window)
+        want_value, want_grad = lncc_gradient(a, b, window)
+        assert value == want_value
+        assert grad.tobytes() == want_grad.tobytes()
+    with pytest.raises(ShapeMismatch):
+        lncc_gradient(b, lncc_fixed(b, 7), window)
+    with pytest.raises(ShapeMismatch):
+        lncc_gradient(b[:4], fixed, window)
+
+
 def test_landmark_error_identity_mapping():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 10, size=(8, 3))
@@ -180,6 +199,8 @@ def test_landmark_error_constant_offset_and_spacing():
 def test_landmark_error_rejects_unpaired_lists():
     with pytest.raises(PairingError):
         landmark_error(np.zeros((3, 3)), np.zeros((4, 3)), lambda p: p)
+    with pytest.raises(PairingError):
+        landmark_error(np.zeros((0, 3)), np.zeros((0, 3)), lambda p: p)
 
 
 def test_report_json_round_trip_and_table():

@@ -3,9 +3,10 @@ import pytest
 
 from embreg.affine import AffineTransform, apply_affine, invert_affine
 from embreg.errors import ShapeMismatch
-from embreg.grid import identity_grid, trilinear_sample
+from embreg.grid import Stencil, identity_grid, trilinear_sample
 from embreg.transform import (
     MAX_SVF_STEPS,
+    SVF_STEPS,
     CompositeTransform,
     compose,
     folding_fraction,
@@ -30,6 +31,20 @@ def smooth_field(rng, dims, scale):
 def test_integrate_zero_velocity_is_zero():
     out = integrate_svf(np.zeros((4, 4, 4, 3)), steps=5)
     np.testing.assert_array_equal(out, 0.0)
+
+
+def test_zero_velocity_tape_is_zero_and_its_adjoint_returns_the_cotangent():
+    dims = (4, 5, 3)
+    _, tape = integrate_svf_with_tape(np.zeros(dims + (3,)))
+    assert len(tape) == SVF_STEPS + 1
+    assert all(u.shape == dims + (3,) and not u.any() for u in tape)
+    g = np.random.default_rng(4).normal(size=dims + (3,))
+    assert svf_backward(g, tape).tobytes() == g.tobytes()
+    # Each adjoint step it skips maps g to g + 0 + g at the grid nodes.
+    flat = g.reshape(-1, 3)
+    stencil = Stencil(identity_grid(dims).reshape(-1, 3), dims)
+    step = flat + stencil.vjp(tape[0], flat) + stencil.adjoint(flat).reshape(-1, 3)
+    assert step.tobytes() == (2 * flat).tobytes()
 
 
 def test_integrate_constant_velocity_in_interior():
