@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .container import _bad_spacing
 from .errors import ShapeMismatch
 
 
@@ -16,6 +17,7 @@ class Bundle:
     ``features`` and ``intensity`` are stored as C-contiguous float64: a
     contiguous float64 input is kept as is, any other is copied once here,
     so the kernels reshape them into views instead of copying per call.
+    ``spacing`` must be three finite, positive numbers.
     """
 
     features: np.ndarray
@@ -36,6 +38,8 @@ class Bundle:
             raise ShapeMismatch("label grid differs from feature grid")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(i))):
             raise ShapeMismatch("non-finite features or intensity")
+        if _bad_spacing(self.spacing):
+            raise ShapeMismatch(f"spacing must be three finite, positive numbers, got {self.spacing!r}")
         self.features = f
         self.intensity = i
 

@@ -169,13 +169,9 @@ def cmd_register(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "affine.json", transform.affine.to_json())
-    manifest = {"affine": "affine.json"}
-    if transform.coarse is not None:
-        write_vol1(out / "coarse_dense.vol1", transform.coarse)
-        manifest["coarse"] = "coarse_dense.vol1"
-    if transform.dense is not None:
-        write_vol1(out / "dense.vol1", transform.dense)
-        manifest["dense"] = "dense.vol1"
+    write_vol1(out / "coarse_dense.vol1", transform.coarse)
+    write_vol1(out / "dense.vol1", transform.dense)
+    manifest = {"affine": "affine.json", "coarse": "coarse_dense.vol1", "dense": "dense.vol1"}
     _write_text(out / "transform.json", json.dumps(manifest, indent=2))
     _write_text(out / "report.json", report.to_json())
     print(report.format_table())

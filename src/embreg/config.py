@@ -22,7 +22,6 @@ class PipelineConfig:
     # matching
     match_step: int = 4
     sscc_iterations: int = 5
-    epsilon: float = 0.7
     # coarse stage
     coarse_reg_weight: float = 1.0
     # instance stage
@@ -30,10 +29,6 @@ class PipelineConfig:
     intensity_term: str = "none"
     parameterization: str = "displacement"
     instance_iterations: int = 100
-    # stage gating
-    enable_affine: bool = True
-    enable_coarse: bool = True
-    enable_instance: bool = True
 
     def __post_init__(self):
         for field in fields(self):
@@ -61,18 +56,10 @@ class PipelineConfig:
 
 def _parse_value(text: str, target_type):
     text = text.strip()
-    if target_type is bool:
-        low = text.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ShapeMismatch(f"cannot parse boolean from {text!r}")
     try:
-        value = target_type(text)
+        return target_type(text)
     except ValueError:
         raise ShapeMismatch(f"cannot parse {target_type.__name__} from {text!r}") from None
-    return value
 
 
 def set_option(config: PipelineConfig, key: str, value: str) -> PipelineConfig:

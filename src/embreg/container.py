@@ -22,6 +22,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class Vol1:
 
 
 def _bad_spacing(spacing) -> bool:
-    return not all(math.isfinite(s) and s > 0 for s in spacing)
+    """True unless ``spacing`` is three finite, positive real numbers."""
+    values = tuple(spacing) if np.iterable(spacing) else ()
+    return len(values) != 3 or not all(isinstance(s, Real) and math.isfinite(s) and s > 0 for s in values)
 
 
 @contextlib.contextmanager

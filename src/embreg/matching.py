@@ -16,6 +16,8 @@ import numpy as np
 from .container import open_atomic
 from .errors import DimensionMismatch, InvalidStep, ShapeMismatch
 
+EPSILON = 0.7  # the pipeline keeps pairs whose cosine similarity is above this
+
 
 @dataclass(frozen=True)
 class MatchSet:
@@ -191,7 +193,7 @@ def save_matches(matches: MatchSet, path) -> None:
 
 
 def load_matches(path) -> MatchSet:
-    moving, fixed, scores = [], [], []
+    coords, scores = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -205,13 +207,12 @@ def load_matches(path) -> MatchSet:
         if len(parts) != 7:
             raise ShapeMismatch(f"malformed match line: {line!r}")
         try:
-            moving.append([int(p) for p in parts[0:3]])
-            fixed.append([int(p) for p in parts[3:6]])
+            coords.append([int(p) for p in parts[0:6]])
             scores.append(float(parts[6]))
         except ValueError as exc:
             raise ShapeMismatch(f"malformed match line: {line!r}") from exc
-    return MatchSet(
-        moving=np.array(moving, dtype=np.int64).reshape(-1, 3),
-        fixed=np.array(fixed, dtype=np.int64).reshape(-1, 3),
-        scores=np.array(scores, dtype=np.float64),
-    )
+    try:
+        pairs = np.array(coords, dtype=np.int64).reshape(-1, 6)
+    except OverflowError:
+        raise ShapeMismatch(f"{path}: a match coordinate is outside the int64 range") from None
+    return MatchSet(moving=pairs[:, :3], fixed=pairs[:, 3:], scores=np.array(scores, dtype=np.float64))

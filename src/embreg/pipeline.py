@@ -6,31 +6,35 @@ import time
 
 import numpy as np
 
-from .affine import AffineTransform, fit_affine
+from .affine import fit_affine
 from .bundle import Bundle
 from .coarse import optimize_coarse, upsample_coarse
 from .config import PipelineConfig
 from .errors import RegistrationError, ShapeMismatch
 from .grid import trilinear_sample, warp_features, warp_labels, warp_scalar
 from .instance import optimize_instance
-from .matching import MatchSet, filter_matches, sscc
+from .matching import EPSILON, MatchSet, filter_matches, sscc
 from .metrics import RegistrationReport, dice, landmark_error
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
 
-def _stage(name: str, fn):
+def _stage(name: str, fn, timings: dict[str, float]):
+    """``fn()``, timed into ``timings[name]``; a registration error gets a ``[name]`` prefix."""
+    t0 = time.perf_counter()
     try:
-        return fn()
+        result = fn()
     except RegistrationError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
+    timings[name] = time.perf_counter() - t0
+    return result
 
 
 def match_stage(config: PipelineConfig, feats_moving, feats_fixed) -> MatchSet:
-    """Cycle-consistent matches between two feature maps, filtered by ``epsilon``."""
+    """Cycle-consistent matches between two feature maps, filtered by :data:`EPSILON`."""
     matches = sscc(
         feats_moving, feats_fixed, step=config.match_step, iterations=config.sscc_iterations
     )
-    return filter_matches(matches, config.epsilon)
+    return filter_matches(matches, EPSILON)
 
 
 def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine, coarse_dense):
@@ -77,7 +81,7 @@ def run_pipeline(
     fixed: Bundle,
     landmarks: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[CompositeTransform, RegistrationReport, dict]:
-    """Run the enabled stages and evaluate the composed transform.
+    """Run match, affine, coarse and instance, each on the last one's result, and evaluate.
 
     ``landmarks`` is an optional ``(points_moving, points_fixed)`` pair of
     index-matched ground-truth correspondences (image-grid voxel units)
@@ -86,48 +90,31 @@ def run_pipeline(
     Returns the composite transform, a report, and a dict of intermediate
     artifacts: the matches, the coarse lattice, the map the instance stage
     starts from and the final map (the transform holds the affine and the
-    upsampled coarse field).
+    upsampled coarse field). To run part of the pipeline, call the stage
+    functions themselves.
     """
     if moving.dims != fixed.dims:
         raise ShapeMismatch(f"bundle grids differ: {moving.dims} vs {fixed.dims}")
     dims = fixed.dims
     timings: dict[str, float] = {}
-    artifacts: dict = {}
+    matches = _stage("match", lambda: match_stage(config, moving.features, fixed.features), timings)
+    affine = _stage("affine", lambda: fit_affine(matches), timings)
 
-    t0 = time.perf_counter()
-    matches = _stage("match", lambda: match_stage(config, moving.features, fixed.features))
-    timings["match"] = time.perf_counter() - t0
-    artifacts["matches"] = matches
+    def coarse():
+        lattice = optimize_coarse(matches, affine, dims, config)
+        return lattice, upsample_coarse(lattice, dims)
 
-    affine = AffineTransform.identity()
-    if config.enable_affine:
-        t0 = time.perf_counter()
-        affine = _stage("affine", lambda: fit_affine(matches))
-        timings["affine"] = time.perf_counter() - t0
-
-    coarse_dense = None
-    if config.enable_coarse:
-        t0 = time.perf_counter()
-        lattice = _stage("coarse", lambda: optimize_coarse(matches, affine, dims, config))
-        coarse_dense = upsample_coarse(lattice, dims)
-        timings["coarse"] = time.perf_counter() - t0
-        artifacts["coarse_field"] = lattice
-
-    dense = None
-    if config.enable_instance:
-        t0 = time.perf_counter()
-        dense, pre_map = _stage(
-            "instance", lambda: instance_stage(config, moving, fixed, affine, coarse_dense)
-        )
-        timings["instance"] = time.perf_counter() - t0
-        artifacts["pre_map"] = pre_map
-
+    lattice, coarse_dense = _stage("coarse", coarse, timings)
+    dense, pre_map = _stage(
+        "instance", lambda: instance_stage(config, moving, fixed, affine, coarse_dense), timings
+    )
     transform = CompositeTransform(affine=affine, coarse=coarse_dense, dense=dense)
-    t0 = time.perf_counter()
-    final_map = compose(transform, dims)
-    artifacts["final_map"] = final_map
 
-    report = evaluate(final_map, moving.labels, fixed.labels, fixed.spacing, landmarks)
+    def evaluate_transform():
+        final_map = compose(transform, dims)
+        return final_map, evaluate(final_map, moving.labels, fixed.labels, fixed.spacing, landmarks)
+
+    final_map, report = _stage("evaluate", evaluate_transform, timings)
     report.stage_timings = timings
-    timings["evaluate"] = time.perf_counter() - t0
+    artifacts = {"matches": matches, "coarse_field": lattice, "pre_map": pre_map, "final_map": final_map}
     return transform, report, artifacts

@@ -351,6 +351,10 @@ def test_bad_config_key_exits_3(synth_pair, tmp_path, setting):
         "coarse_stride=4",
         "svf_steps=7",
         "lncc_window=9",
+        "epsilon=0.5",
+        "enable_affine=false",
+        "enable_coarse=false",
+        "enable_instance=false",
     ],
 )
 def test_removed_config_key_exits_3(synth_pair, tmp_path, setting, capsys):
@@ -447,7 +451,7 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
     from embreg.matching import save_matches
     from embreg.pipeline import run_pipeline
 
-    config = PipelineConfig(match_step=2, enable_instance=False)
+    config = PipelineConfig(match_step=2)
     moving = _load_bundle(synth_pair / "moving")
     fixed = _load_bundle(synth_pair / "fixed")
     transform, _, artifacts = run_pipeline(config, moving, fixed)
@@ -547,7 +551,10 @@ def test_eval_malformed_transform_exits_3(tmp_path, manifest, affine, capsys):
     assert "malformed transform" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("content", [b"1 2 x 4 5 6 0.9\n", b"\xff1 2 3 4 5 6 0.9\n"])
+@pytest.mark.parametrize(
+    "content",
+    [b"1 2 x 4 5 6 0.9\n", b"\xff1 2 3 4 5 6 0.9\n", b"99999999999999999999 1 1 1 1 1 0.9\n"],
+)
 def test_affine_malformed_matches_exits_3(tmp_path, content, capsys):
     matches = tmp_path / "matches.txt"
     matches.write_bytes(content)
@@ -557,7 +564,7 @@ def test_affine_malformed_matches_exits_3(tmp_path, content, capsys):
     assert not (tmp_path / "affine.json").exists()
 
 
-@pytest.mark.parametrize("option", [["--set", "epsilon=0.5"], ["--config", "run.cfg"]])
+@pytest.mark.parametrize("option", [["--set", "match_step=2"], ["--config", "run.cfg"]])
 def test_affine_takes_no_settings(tmp_path, option):
     matches = tmp_path / "matches.txt"
     matches.write_text("1 1 1 1 1 1 0.9\n")

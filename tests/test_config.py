@@ -12,9 +12,8 @@ def test_defaults():
     cfg = PipelineConfig()
     assert cfg.match_step == 4
     assert cfg.sscc_iterations == 5
-    assert cfg.epsilon == 0.7
     assert cfg.parameterization == "displacement"
-    assert cfg.enable_instance is True
+    assert cfg.instance_iterations == 100
 
 
 def test_load_config_parses_types_and_comments(tmp_path):
@@ -22,17 +21,17 @@ def test_load_config_parses_types_and_comments(tmp_path):
     path.write_text(
         "# full line comment\n"
         "match_step = 2\n"
-        "epsilon = 0.5   # trailing comment\n"
+        "lambda_reg = 0.5   # trailing comment\n"
         "intensity_term = lncc\n"
-        "enable_coarse = false\n"
+        "parameterization = svf\n"
         "\n"
         "instance_iterations=6\n"
     )
     cfg = load_config(path)
     assert cfg.match_step == 2
-    assert cfg.epsilon == 0.5
+    assert cfg.lambda_reg == 0.5
     assert cfg.intensity_term == "lncc"
-    assert cfg.enable_coarse is False
+    assert cfg.parameterization == "svf"
     assert cfg.instance_iterations == 6
     # untouched keys keep their defaults
     assert cfg.coarse_reg_weight == 1.0
@@ -53,28 +52,17 @@ def test_set_option_unknown_key():
         set_option(PipelineConfig(), "no_such_key", "1")
 
 
-def test_set_option_bad_boolean():
-    with pytest.raises(ShapeMismatch):
-        set_option(PipelineConfig(), "enable_affine", "maybe")
-
-
-@pytest.mark.parametrize("text,value", [("true", True), ("1", True), ("off", False), ("NO", False)])
-def test_boolean_spellings(text, value):
-    cfg = set_option(PipelineConfig(), "enable_affine", text)
-    assert cfg.enable_affine is value
-
-
 def test_apply_overrides_wins_over_file(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("epsilon = 0.5\n")
-    cfg = apply_overrides(load_config(path), ["epsilon=0.9", "coarse_reg_weight=2.5"])
-    assert cfg.epsilon == 0.9
+    path.write_text("lambda_reg = 0.5\n")
+    cfg = apply_overrides(load_config(path), ["lambda_reg=0.9", "coarse_reg_weight=2.5"])
+    assert cfg.lambda_reg == 0.9
     assert cfg.coarse_reg_weight == 2.5
 
 
 def test_apply_overrides_rejects_malformed_item():
     with pytest.raises(ShapeMismatch):
-        apply_overrides(PipelineConfig(), ["epsilon0.9"])
+        apply_overrides(PipelineConfig(), ["lambda_reg0.9"])
 
 
 @pytest.mark.parametrize(
@@ -92,7 +80,8 @@ def test_apply_overrides_rejects_malformed_item():
         {"match_step": 0},
         {"sscc_iterations": 0},
         {"instance_iterations": 0},
-        {"enable_affine": "yes"},
+        # a bool is not taken for an int
+        {"match_step": True},
     ],
     ids=lambda case: ",".join(f"{k}={v}" for k, v in case.items()),
 )
@@ -118,10 +107,10 @@ def test_set_option_checks_the_whole_config_and_keeps_it_on_failure():
 def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
     cfg = PipelineConfig()
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.epsilon = -1.0
-    assert cfg.epsilon == 0.7
-    assert set_option(cfg, "epsilon", "0.9").epsilon == 0.9
-    assert cfg.epsilon == 0.7
+        cfg.lambda_reg = -1.0
+    assert cfg.lambda_reg == 1.0
+    assert set_option(cfg, "lambda_reg", "0.9").lambda_reg == 0.9
+    assert cfg.lambda_reg == 1.0
 
 
 @pytest.mark.parametrize(
@@ -136,6 +125,11 @@ def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
         "coarse_stride",
         "svf_steps",
         "lncc_window",
+        # fixed as matching.EPSILON; the pipeline always runs all four stages
+        "epsilon",
+        "enable_affine",
+        "enable_coarse",
+        "enable_instance",
     ],
 )
 def test_removed_keys_are_not_fields(key):
@@ -147,15 +141,11 @@ def test_config_fields_are_pinned():
     assert [field.name for field in dataclasses.fields(PipelineConfig)] == [
         "match_step",
         "sscc_iterations",
-        "epsilon",
         "coarse_reg_weight",
         "lambda_reg",
         "intensity_term",
         "parameterization",
         "instance_iterations",
-        "enable_affine",
-        "enable_coarse",
-        "enable_instance",
     ]
 
 
