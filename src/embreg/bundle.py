@@ -8,6 +8,7 @@ import numpy as np
 
 from .container import _bad_spacing
 from .errors import ShapeMismatch
+from .metrics import check_labels
 
 
 @dataclass
@@ -17,7 +18,8 @@ class Bundle:
     ``features`` and ``intensity`` are stored as C-contiguous float64: a
     contiguous float64 input is kept as is, any other is copied once here,
     so the kernels reshape them into views instead of copying per call.
-    ``spacing`` must be three finite, positive numbers.
+    ``labels``, when given, must hold finite integer values, and ``spacing``
+    must be three finite, positive numbers.
     """
 
     features: np.ndarray
@@ -34,7 +36,7 @@ class Bundle:
             raise ShapeMismatch(f"feature map must not be empty: {f.shape}")
         if i.shape != f.shape[:3]:
             raise ShapeMismatch(f"intensity grid {i.shape} != feature grid {f.shape[:3]}")
-        if self.labels is not None and np.asarray(self.labels).shape != f.shape[:3]:
+        if self.labels is not None and check_labels(self.labels).shape != f.shape[:3]:
             raise ShapeMismatch("label grid differs from feature grid")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(i))):
             raise ShapeMismatch("non-finite features or intensity")

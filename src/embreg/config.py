@@ -71,10 +71,10 @@ def set_option(config: PipelineConfig, key: str, value: str) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    """Read a flat UTF-8 ``key = value`` file; ``#`` starts a comment."""
+    """Read a flat UTF-8 ``key = value`` file (a leading BOM is skipped); ``#`` starts a comment."""
     config = PipelineConfig()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:

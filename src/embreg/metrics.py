@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
@@ -23,51 +23,45 @@ class RegistrationReport:
     stage_timings: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "per_label_dice": {str(k): v for k, v in self.per_label_dice.items()},
-                "mean_dice": self.mean_dice,
-                "folding_fraction": self.folding_fraction,
-                "mean_landmark_error": self.mean_landmark_error,
-                "stage_timings": self.stage_timings,
-            },
-            indent=2,
-        )
+        data = asdict(self)
+        data["per_label_dice"] = {str(k): v for k, v in self.per_label_dice.items()}
+        return json.dumps(data, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RegistrationReport":
         data = json.loads(text)
-        return cls(
-            per_label_dice={int(k): float(v) for k, v in data.get("per_label_dice", {}).items()},
-            mean_dice=data.get("mean_dice"),
-            folding_fraction=data.get("folding_fraction"),
-            mean_landmark_error=data.get("mean_landmark_error"),
-            stage_timings=data.get("stage_timings", {}),
-        )
+        report = cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
+        report.per_label_dice = {int(k): float(v) for k, v in report.per_label_dice.items()}
+        return report
 
     def format_table(self) -> str:
         lines = [f"{'metric':<24}{'value':>14}"]
         for label in sorted(self.per_label_dice):
             lines.append(f"{f'dice[{label}]':<24}{self.per_label_dice[label]:>14.6f}")
-        if self.mean_dice is not None:
-            lines.append(f"{'mean_dice':<24}{self.mean_dice:>14.6f}")
-        if self.folding_fraction is not None:
-            lines.append(f"{'folding_fraction':<24}{self.folding_fraction:>14.6f}")
-        if self.mean_landmark_error is not None:
-            lines.append(f"{'mean_landmark_error':<24}{self.mean_landmark_error:>14.6f}")
+        for name in ("mean_dice", "folding_fraction", "mean_landmark_error"):
+            if getattr(self, name) is not None:
+                lines.append(f"{name:<24}{getattr(self, name):>14.6f}")
         for stage in sorted(self.stage_timings):
             lines.append(f"{f'time[{stage}] (s)':<24}{self.stage_timings[stage]:>14.3f}")
         return "\n".join(lines)
+
+
+def check_labels(labels) -> np.ndarray:
+    """``labels`` as an array; a value that is not a finite integer raises ShapeMismatch."""
+    arr = np.asarray(labels)
+    if arr.dtype.kind not in "biu" and not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise ShapeMismatch("labels must be finite integer values")
+    return arr
 
 
 def dice(warped_labels, fixed_labels) -> tuple[dict[int, float], float]:
     """Per-label and mean Dice over all nonzero labels present in either volume.
 
     A label present in exactly one volume scores 0; labels absent from
-    both are omitted.
+    both are omitted. Labels must be finite integer values (:func:`check_labels`).
     """
-    w = np.asarray(warped_labels)
-    f = np.asarray(fixed_labels)
+    w = check_labels(warped_labels)
+    f = check_labels(fixed_labels)
     if w.shape != f.shape:
         raise ShapeMismatch(f"label volumes differ: {w.shape} vs {f.shape}")
     labels = np.union1d(np.unique(w), np.unique(f))
@@ -108,19 +102,16 @@ def ncc_gradient(a, b) -> tuple[float, np.ndarray]:
 
 def _box_sum(arr: np.ndarray, window: int) -> np.ndarray:
     """Sum over the window intersected with the volume (border truncation)."""
-    out = arr
-    for axis in range(arr.ndim):
-        out = ndimage.uniform_filter1d(out, size=window, axis=axis, mode="constant", cval=0.0)
-    return out * float(window**arr.ndim)
+    return ndimage.uniform_filter(arr, size=window, mode="constant") * float(window**arr.ndim)
 
 
 @dataclass(frozen=True)
 class LnccFixed:
-    """A fixed volume with the LNCC window sums that depend on it alone.
+    """A fixed volume, its LNCC window, and the window sums that depend on them alone.
 
-    Made by :func:`lncc_fixed`; :func:`lncc_gradient` takes it in place of the
-    fixed volume, so a descent that compares many warped volumes against one
-    fixed volume computes these sums once.
+    Made by :func:`lncc_fixed` and passed to :func:`lncc_gradient`, which
+    reads the window from it, so a descent that compares many warped volumes
+    against one fixed volume computes these sums once.
     """
 
     volume: np.ndarray
@@ -147,20 +138,17 @@ def lncc_fixed(b, window: int = LNCC_WINDOW) -> LnccFixed:
 
 def lncc(a, b, window: int = LNCC_WINDOW) -> float:
     """Mean of windowed NCC; degenerate (zero-variance) windows contribute 0."""
-    return lncc_gradient(a, b, window)[0]
+    return lncc_gradient(a, lncc_fixed(b, window))[0]
 
 
-def lncc_gradient(a, b, window: int = LNCC_WINDOW) -> tuple[float, np.ndarray]:
-    """Mean windowed NCC and its gradient with respect to ``a``.
+def lncc_gradient(a, fixed: LnccFixed) -> tuple[float, np.ndarray]:
+    """Mean windowed NCC of ``a`` against ``fixed`` and its gradient with respect to ``a``.
 
     Each voxel participates in every window containing it; the per-window
-    terms are accumulated with truncated box sums. ``b`` is the fixed volume
-    or its :func:`lncc_fixed` sums for the same ``window``; both give the
-    same bytes.
+    terms are accumulated with truncated box sums over ``fixed.window``.
+    ``fixed`` comes from :func:`lncc_fixed`.
     """
-    fixed = b if isinstance(b, LnccFixed) else lncc_fixed(b, window)
-    if fixed.window != window:
-        raise ShapeMismatch(f"fixed sums are for window {fixed.window}, not {window}")
+    window = fixed.window
     av = np.asarray(a, dtype=np.float64)
     bv, n, mean_b, sbb = fixed.volume, fixed.count, fixed.mean, fixed.centred
     if av.shape != bv.shape:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -14,19 +15,19 @@ from .errors import RegistrationError, ShapeMismatch
 from .grid import trilinear_sample, warp_features, warp_labels, warp_scalar
 from .instance import optimize_instance
 from .matching import EPSILON, MatchSet, filter_matches, sscc
-from .metrics import RegistrationReport, dice, landmark_error
+from .metrics import RegistrationReport, check_labels, dice, landmark_error
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
 
-def _stage(name: str, fn, timings: dict[str, float]):
-    """``fn()``, timed into ``timings[name]``; a registration error gets a ``[name]`` prefix."""
+@contextmanager
+def _stage(name: str, timings: dict[str, float]):
+    """Time the ``with`` block into ``timings[name]``; a registration error gets a ``[name]`` prefix."""
     t0 = time.perf_counter()
     try:
-        result = fn()
+        yield
     except RegistrationError as exc:
         raise type(exc)(f"[{name}] {exc}") from exc
     timings[name] = time.perf_counter() - t0
-    return result
 
 
 def match_stage(config: PipelineConfig, feats_moving, feats_fixed) -> MatchSet:
@@ -54,15 +55,17 @@ def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine
 def evaluate(final_map, moving_labels, fixed_labels, spacing, landmarks=None) -> RegistrationReport:
     """Folding fraction of ``final_map``, Dice of the warped labels and landmark error.
 
-    Dice needs both label maps; the landmark error needs ``landmarks``, an
-    index-matched ``(points_moving, points_fixed)`` pair in voxel units, and
-    is measured in the fixed grid's ``spacing``.
+    Dice needs both label maps, which must hold finite integer values
+    everywhere, not only at the moving voxels the map samples. The landmark
+    error needs ``landmarks``, an index-matched ``(points_moving,
+    points_fixed)`` pair in voxel units, and is measured in the fixed grid's
+    ``spacing``.
     """
     report = RegistrationReport()
     report.folding_fraction = folding_fraction(jacobian_determinant(final_map))
     if moving_labels is not None and fixed_labels is not None:
         report.per_label_dice, report.mean_dice = dice(
-            warp_labels(moving_labels, final_map), fixed_labels
+            warp_labels(check_labels(moving_labels), final_map), fixed_labels
         )
     if landmarks is not None:
         points_moving, points_fixed = landmarks
@@ -97,24 +100,19 @@ def run_pipeline(
         raise ShapeMismatch(f"bundle grids differ: {moving.dims} vs {fixed.dims}")
     dims = fixed.dims
     timings: dict[str, float] = {}
-    matches = _stage("match", lambda: match_stage(config, moving.features, fixed.features), timings)
-    affine = _stage("affine", lambda: fit_affine(matches), timings)
-
-    def coarse():
+    with _stage("match", timings):
+        matches = match_stage(config, moving.features, fixed.features)
+    with _stage("affine", timings):
+        affine = fit_affine(matches)
+    with _stage("coarse", timings):
         lattice = optimize_coarse(matches, affine, dims, config)
-        return lattice, upsample_coarse(lattice, dims)
-
-    lattice, coarse_dense = _stage("coarse", coarse, timings)
-    dense, pre_map = _stage(
-        "instance", lambda: instance_stage(config, moving, fixed, affine, coarse_dense), timings
-    )
+        coarse_dense = upsample_coarse(lattice, dims)
+    with _stage("instance", timings):
+        dense, pre_map = instance_stage(config, moving, fixed, affine, coarse_dense)
     transform = CompositeTransform(affine=affine, coarse=coarse_dense, dense=dense)
-
-    def evaluate_transform():
+    with _stage("evaluate", timings):
         final_map = compose(transform, dims)
-        return final_map, evaluate(final_map, moving.labels, fixed.labels, fixed.spacing, landmarks)
-
-    final_map, report = _stage("evaluate", evaluate_transform, timings)
+        report = evaluate(final_map, moving.labels, fixed.labels, fixed.spacing, landmarks)
     report.stage_timings = timings
     artifacts = {"matches": matches, "coarse_field": lattice, "pre_map": pre_map, "final_map": final_map}
     return transform, report, artifacts

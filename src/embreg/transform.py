@@ -131,7 +131,7 @@ def compose(transform: CompositeTransform, dims) -> np.ndarray:
     if grid is not None and grid != tuple(dims):
         raise ShapeMismatch(f"displacement field grid {grid} != {tuple(dims)}")
     pts = identity_grid(dims)
-    y = pts if transform.dense is None else pts + trilinear_sample(transform.dense, pts)
+    y = pts if transform.dense is None else pts + transform.dense
     if transform.coarse is not None:
         y = y + trilinear_sample(transform.coarse, y)
     return apply_affine(invert_affine(transform.affine), y)
@@ -149,12 +149,8 @@ def jacobian_determinant(field, displacement: bool = False) -> np.ndarray:
     if any(d < 3 for d in f.shape[:3]):
         raise ShapeMismatch(f"Jacobian needs >= 3 voxels per axis, got {f.shape[:3]}")
     phi = f + identity_grid(f.shape[:3]) if displacement else f
-    jac = np.empty(f.shape[:3] + (3, 3))
-    for c in range(3):
-        grads = np.gradient(phi[..., c], axis=(0, 1, 2))
-        for a in range(3):
-            jac[..., c, a] = grads[a]
-    return np.linalg.det(jac)
+    # Row c, column a of each 3x3 Jacobian is d phi_c / d x_a.
+    return np.linalg.det(np.stack(np.gradient(phi, axis=(0, 1, 2)), axis=-1))
 
 
 def folding_fraction(jac) -> float:

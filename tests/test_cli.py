@@ -642,6 +642,65 @@ def test_register_stage_bounds_exit_3_before_any_stage_runs(synth_pair, tmp_path
     assert not (tmp_path / "reg").exists()
 
 
+@pytest.mark.parametrize("side", ["moving", "fixed"])
+@pytest.mark.parametrize("value", [np.nan, 1.5])
+def test_eval_labels_that_are_not_finite_integers_exit_3(synth_pair, tmp_path, side, value, capsys):
+    from embreg.affine import AffineTransform
+
+    # The map is x + (1, 0, 0), so it samples no moving voxel at z = 0.
+    shift = AffineTransform.from_linear_translation(np.eye(3), [-1.0, 0.0, 0.0])
+    (tmp_path / "affine.json").write_text(shift.to_json())
+    (tmp_path / "transform.json").write_text(json.dumps({"affine": "affine.json"}))
+    paths = {s: str(synth_pair / s / "labels.vol1") for s in ("moving", "fixed")}
+    labels = read_vol1(paths[side]).values[..., 0].astype(np.float64)
+    labels[0, 4, 5] = value
+    paths[side] = str(tmp_path / "labels.vol1")
+    write_vol1(paths[side], labels)
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            paths["moving"],
+            "--fixed-labels",
+            paths["fixed"],
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "labels must be finite integer values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, 1.5])
+def test_register_labels_that_are_not_finite_integers_exit_3_before_any_stage_runs(
+    synth_pair, tmp_path, value, monkeypatch, capsys
+):
+    moving = tmp_path / "moving"
+    shutil.copytree(synth_pair / "moving", moving)
+    labels = read_vol1(moving / "labels.vol1").values[..., 0].astype(np.float64)
+    labels[3, 4, 5] = value
+    write_vol1(moving / "labels.vol1", labels)
+    monkeypatch.setattr("embreg.cli.run_pipeline", lambda *args: pytest.fail("a stage ran"))
+    rc = main(
+        [
+            "register",
+            "--moving-dir",
+            str(moving),
+            "--fixed-dir",
+            str(synth_pair / "fixed"),
+            "--out",
+            str(tmp_path / "reg"),
+        ]
+    )
+    assert rc == 3
+    assert "labels must be finite integer values" in capsys.readouterr().err
+    assert not (tmp_path / "reg").exists()
+
+
 @pytest.mark.parametrize(
     "empty_sides, shape",
     [(("moving",), (0, 4, 4, 8)), (("fixed",), (4, 0, 4, 8)), (("moving", "fixed"), (4, 4, 4, 0))],

@@ -37,6 +37,13 @@ def test_load_config_parses_types_and_comments(tmp_path):
     assert cfg.coarse_reg_weight == 1.0
 
 
+def test_load_config_skips_a_utf8_bom(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfmatch_step = 2\ninstance_iterations = 6\n")
+    cfg = load_config(path)
+    assert (cfg.match_step, cfg.instance_iterations) == (2, 6)
+
+
 def test_load_config_rejects_garbage(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("this is not a key value line\n")

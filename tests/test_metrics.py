@@ -77,6 +77,18 @@ def test_dice_rejects_shape_mismatch():
         dice(np.zeros((2, 2, 2)), np.zeros((3, 3, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1.5])
+def test_dice_rejects_labels_that_are_not_finite_integers(value):
+    good = np.zeros((3, 3, 3))
+    good[1, 1, 1] = 2.0
+    bad = good.copy()
+    bad[0, 0, 0] = value
+    assert dice(good, good) == ({2: 1.0}, 1.0)  # integer values in a float array are labels
+    for args in ((good, bad), (bad, good)):
+        with pytest.raises(ShapeMismatch, match="finite integer"):
+            dice(*args)
+
+
 def test_ncc_trivial_values():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 5, 5))
@@ -150,7 +162,7 @@ def test_lncc_gradient_matches_finite_differences():
     rng = np.random.default_rng(6)
     a = rng.normal(size=(4, 4, 4))
     b = rng.normal(size=(4, 4, 4))
-    value, grad = lncc_gradient(a, b, window=3)
+    value, grad = lncc_gradient(a, lncc_fixed(b, 3))
     assert value == pytest.approx(lncc(a, b, window=3))
     h = 1e-6
     for idx in [tuple(rng.integers(0, 4, size=3)) for _ in range(10)]:
@@ -170,14 +182,12 @@ def test_lncc_fixed_sums_give_the_bytes_of_one_shot_gradient(window):
     fixed = lncc_fixed(b, window)
     for _ in range(3):
         a = rng.normal(size=b.shape)
-        value, grad = lncc_gradient(a, fixed, window)
-        want_value, want_grad = lncc_gradient(a, b, window)
-        assert value == want_value
+        value, grad = lncc_gradient(a, fixed)
+        want_value, want_grad = lncc_gradient(a, lncc_fixed(b, window))
+        assert value == want_value == lncc(a, b, window)
         assert grad.tobytes() == want_grad.tobytes()
     with pytest.raises(ShapeMismatch):
-        lncc_gradient(b, lncc_fixed(b, 7), window)
-    with pytest.raises(ShapeMismatch):
-        lncc_gradient(b[:4], fixed, window)
+        lncc_gradient(b[:4], fixed)
 
 
 def test_landmark_error_identity_mapping():
@@ -216,3 +226,27 @@ def test_report_json_round_trip_and_table():
     table = report.format_table()
     assert "mean_dice" in table and "0.850000" in table
     assert "dice[1]" in table and "time[affine]" in table
+
+
+def test_report_json_and_table_are_pinned():
+    report = RegistrationReport(
+        per_label_dice={2: 0.8, 10: 0.5, 1: 0.9},
+        mean_dice=0.85,
+        mean_landmark_error=1.25,
+        stage_timings={"match": 0.25, "affine": 0.125},
+    )
+    assert report.to_json() == (
+        '{\n  "per_label_dice": {\n    "2": 0.8,\n    "10": 0.5,\n    "1": 0.9\n  },\n'
+        '  "mean_dice": 0.85,\n  "folding_fraction": null,\n  "mean_landmark_error": 1.25,\n'
+        '  "stage_timings": {\n    "match": 0.25,\n    "affine": 0.125\n  }\n}'
+    )
+    assert report.format_table() == (
+        "metric                           value\n"
+        "dice[1]                       0.900000\n"
+        "dice[2]                       0.800000\n"
+        "dice[10]                      0.500000\n"
+        "mean_dice                     0.850000\n"
+        "mean_landmark_error           1.250000\n"
+        "time[affine] (s)                 0.125\n"
+        "time[match] (s)                  0.250"
+    )

@@ -118,18 +118,25 @@ def test_pipeline_rejects_mismatched_bundles():
         (1.0, 1.0, 1.0, 1.0),
         ("1", 1.0, 1.0),
         1.0,
+        # labels, which Dice counts
+        "nan labels",
+        "fractional labels",
     ],
 )
 def test_bundle_rejects_non_finite_inputs(part):
     features = np.ones((4, 4, 4, 2))
     intensity = np.ones((4, 4, 4))
+    labels = np.zeros((4, 4, 4))
     spacing = (1.0, 1.0, 1.0)
     if part in ("features", "intensity"):
         {"features": features, "intensity": intensity}[part][1, 2, 3] = np.nan
+    elif part in ("nan labels", "fractional labels"):
+        labels[1, 2, 3] = np.nan if part == "nan labels" else 1.5
     else:
         spacing = part
+    Bundle(features=np.ones((4, 4, 4, 2)), intensity=np.ones((4, 4, 4)), labels=np.zeros((4, 4, 4)))
     with pytest.raises(ShapeMismatch):
-        Bundle(features=features, intensity=intensity, spacing=spacing)
+        Bundle(features=features, intensity=intensity, labels=labels, spacing=spacing)
 
 
 def test_bundle_rejects_zero_channel_features():

@@ -161,6 +161,20 @@ def test_compose_constant_stages_add_before_inverse_affine():
     np.testing.assert_allclose(out[1:-1, 1:-1, 1:-1], want[1:-1, 1:-1, 1:-1], atol=1e-12)
 
 
+def test_compose_is_the_inverse_affine_of_coarse_sampled_after_dense():
+    rng = np.random.default_rng(9)
+    dims = (5, 6, 7)
+    coarse = rng.normal(scale=1.5, size=dims + (3,))
+    dense = rng.normal(scale=1.5, size=dims + (3,))
+    affine = AffineTransform.from_linear_translation(
+        np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3)), rng.uniform(-2, 2, 3)
+    )
+    out = compose(CompositeTransform(affine=affine, coarse=coarse, dense=dense), dims)
+    y = identity_grid(dims) + dense
+    want = apply_affine(invert_affine(affine), y + trilinear_sample(coarse, y))
+    assert out.tobytes() == want.tobytes()
+
+
 def test_composite_rejects_mismatched_stage_grids():
     with pytest.raises(ShapeMismatch):
         CompositeTransform(
@@ -209,6 +223,16 @@ def test_jacobian_of_linear_map_is_its_determinant():
     phi = grid @ lin.T
     det = jacobian_determinant(phi)
     np.testing.assert_allclose(det, np.linalg.det(lin), atol=1e-10)
+
+
+def test_jacobian_is_the_determinant_of_the_channel_gradients():
+    rng = np.random.default_rng(10)
+    phi = rng.normal(size=(4, 5, 6, 3))
+    jac = np.empty((4, 5, 6, 3, 3))
+    for c in range(3):
+        for a, grad in enumerate(np.gradient(phi[..., c], axis=(0, 1, 2))):
+            jac[..., c, a] = grad
+    assert jacobian_determinant(phi).tobytes() == np.linalg.det(jac).tobytes()
 
 
 def test_jacobian_displacement_flag_adds_identity():
