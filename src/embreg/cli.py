@@ -192,8 +192,8 @@ def _load_transform(directory: Path) -> CompositeTransform:
 
 def cmd_eval(args) -> int:
     transform = _load_transform(Path(args.transform))
-    moving_labels, _ = _read_scalar(args.moving_labels)
-    fixed_labels, spacing = _read_scalar(args.fixed_labels)
+    moving_labels, spacing = _read_scalar(args.moving_labels)
+    fixed_labels, _ = _read_scalar(args.fixed_labels)
     landmarks = None
     if args.gt_map:
         gt = read_vol1(args.gt_map).values

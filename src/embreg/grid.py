@@ -86,8 +86,9 @@ _CORNERS = np.array(list(itertools.product((0, 1), repeat=3)), dtype=np.int32)  
 class Stencil:
     """The 8-corner trilinear stencil of a set of points on a ``(D, H, W)`` grid.
 
-    Points outside the grid are clamped to the boundary. ``matrix`` is the
-    ``(n, D*H*W)`` CSR interpolation matrix, 8 entries a row: sampling is
+    Points outside the grid are clamped to the boundary; an axis of the grid
+    with no voxel raises :class:`~embreg.errors.ShapeMismatch`. ``matrix`` is
+    the ``(n, D*H*W)`` CSR interpolation matrix, 8 entries a row: sampling is
     ``matrix @ F`` and the adjoint scatter ``matrix.T @ G``. ``index`` and
     ``weights`` are ``(n, 8)`` views of its column indices and values, corners
     in ``(dz, dy, dx)`` order. ``axis_weights[a]`` holds the low- and
@@ -98,6 +99,8 @@ class Stencil:
 
     def __init__(self, points, dims):
         self.dims = tuple(int(d) for d in dims)
+        if min(self.dims) < 1:
+            raise ShapeMismatch(f"stencil grid needs >= 1 voxel per axis, got {self.dims}")
         grid = np.array(self.dims, dtype=np.int64)[:, None]
         pts = _as_points(points)
         self.shape = pts.shape[:-1]
@@ -250,10 +253,10 @@ def identity_grid(dims) -> np.ndarray:
 
 
 def check_vector_field(field, name: str = "vector field") -> np.ndarray:
-    """``field`` as a float array, which must be shaped ``(D, H, W, 3)``."""
+    """``field`` as a float array, which must be shaped ``(D, H, W, 3)`` and not be empty."""
     arr = np.asarray(field, dtype=np.float64)
-    if arr.ndim != 4 or arr.shape[-1] != 3:
-        raise ShapeMismatch(f"{name} must be (D,H,W,3), got {arr.shape}")
+    if arr.ndim != 4 or arr.shape[-1] != 3 or arr.size == 0:
+        raise ShapeMismatch(f"{name} must be a non-empty (D,H,W,3) array, got {arr.shape}")
     return arr
 
 

@@ -95,9 +95,10 @@ def _loss(field, feats_m, img_m, feats_f, fixed_unmasked, img_f, config):
     stencil of the warped grid, whose derivatives only the closure computes);
     the intensity correlation's gradient comes with its value. ``feats_f``,
     ``fixed_unmasked`` and ``img_f`` come from :func:`_fixed_side`. The
-    displacement is ``field`` itself, or in velocity mode its integral.
+    displacement is ``field`` itself, or in velocity mode its integral. At a
+    zero velocity (the descent's start) both SVF passes return their input.
     """
-    if config.parameterization == "svf":
+    if config.parameterization == "svf" and field.any():
         displacement, tape = integrate_svf_with_tape(field)
     else:
         displacement, tape = field, None
@@ -157,18 +158,19 @@ def _loss(field, feats_m, img_m, feats_f, fixed_unmasked, img_f, config):
 def optimize_instance(feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> np.ndarray:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`); returns the final displacement.
 
-    The descent starts from the zero field on the fixed grid, whose velocity
-    integrates to zero without sampling. In velocity mode the returned field
-    is the displacement integrated with :data:`~embreg.transform.SVF_STEPS`
-    squarings: the one the descent's last evaluation integrated when that was
-    the returned velocity (every stop but ``stall``), else integrated once
-    more. LNCC uses a window of :data:`~embreg.metrics.LNCC_WINDOW` voxels,
-    and the fixed image's window sums are computed once a descent. Reads
-    ``lambda_reg``, ``intensity_term``, ``parameterization`` and
-    ``instance_iterations`` from ``config``. The similarity terms carry no
-    weight of their own: the descent does not see the objective's scale, so
-    ``lambda_reg`` alone sets the trade-off. ``instance_iterations`` is a
-    cap, and the descent stops earlier once an iteration gains less than
+    The descent starts from the zero field on the fixed grid, which
+    :func:`_loss` takes as its own displacement. In velocity mode the
+    returned field is the displacement integrated with
+    :data:`~embreg.transform.SVF_STEPS` squarings: the one the descent's
+    last evaluation integrated when that was the returned velocity (every
+    stop but ``stall``), else integrated once more. LNCC uses a window of
+    :data:`~embreg.metrics.LNCC_WINDOW` voxels, and the fixed image's window
+    sums are computed once a descent. Reads ``lambda_reg``,
+    ``intensity_term``, ``parameterization`` and ``instance_iterations``
+    from ``config``. The similarity terms carry no weight of their own: the
+    descent does not see the objective's scale, so ``lambda_reg`` alone sets
+    the trade-off. ``instance_iterations`` is a cap, and the descent stops
+    earlier once an iteration gains less than
     :data:`~embreg.descent.PROGRESS` of the decrease so far.
     """
     fixed = _fixed_side(feats_f, img_f, config)

@@ -176,7 +176,8 @@ def landmark_error(points_moving, points_fixed, mapping, spacing=(1.0, 1.0, 1.0)
 
     ``mapping`` is a callable taking ``(N, 3)`` fixed-grid coordinates and
     returning the corresponding moving-grid coordinates. Distances are
-    scaled per axis by ``spacing`` so the result is in length units.
+    scaled per axis by ``spacing``, the moving grid's, so the result is in
+    length units.
     """
     pm = np.asarray(points_moving, dtype=np.float64)
     pf = np.asarray(points_fixed, dtype=np.float64)

@@ -11,7 +11,7 @@ from .affine import fit_affine
 from .bundle import Bundle
 from .coarse import optimize_coarse, upsample_coarse
 from .config import PipelineConfig
-from .errors import RegistrationError, ShapeMismatch
+from .errors import RegistrationError
 from .grid import trilinear_sample, warp_features, warp_labels, warp_scalar
 from .instance import optimize_instance
 from .matching import EPSILON, MatchSet, filter_matches, sscc
@@ -58,8 +58,8 @@ def evaluate(final_map, moving_labels, fixed_labels, spacing, landmarks=None) ->
     Dice needs both label maps, which must hold finite integer values
     everywhere, not only at the moving voxels the map samples. The landmark
     error needs ``landmarks``, an index-matched ``(points_moving,
-    points_fixed)`` pair in voxel units, and is measured in the fixed grid's
-    ``spacing``.
+    points_fixed)`` pair in voxel units. It compares moving-grid points, so
+    ``spacing`` is the moving grid's.
     """
     report = RegistrationReport()
     report.folding_fraction = folding_fraction(jacobian_determinant(final_map))
@@ -86,9 +86,10 @@ def run_pipeline(
 ) -> tuple[CompositeTransform, RegistrationReport, dict]:
     """Run match, affine, coarse and instance, each on the last one's result, and evaluate.
 
-    ``landmarks`` is an optional ``(points_moving, points_fixed)`` pair of
-    index-matched ground-truth correspondences (image-grid voxel units)
-    used for the landmark-error entry of the report.
+    The two bundles may differ in grid size; the transform's fields and maps
+    lie on the fixed grid. ``landmarks`` is an optional ``(points_moving,
+    points_fixed)`` pair of index-matched ground-truth correspondences
+    (image-grid voxel units) used for the landmark-error entry of the report.
 
     Returns the composite transform, a report, and a dict of intermediate
     artifacts: the matches, the coarse lattice, the map the instance stage
@@ -96,8 +97,6 @@ def run_pipeline(
     upsampled coarse field). To run part of the pipeline, call the stage
     functions themselves.
     """
-    if moving.dims != fixed.dims:
-        raise ShapeMismatch(f"bundle grids differ: {moving.dims} vs {fixed.dims}")
     dims = fixed.dims
     timings: dict[str, float] = {}
     with _stage("match", timings):
@@ -112,7 +111,7 @@ def run_pipeline(
     transform = CompositeTransform(affine=affine, coarse=coarse_dense, dense=dense)
     with _stage("evaluate", timings):
         final_map = compose(transform, dims)
-        report = evaluate(final_map, moving.labels, fixed.labels, fixed.spacing, landmarks)
+        report = evaluate(final_map, moving.labels, fixed.labels, moving.spacing, landmarks)
     report.stage_timings = timings
     artifacts = {"matches": matches, "coarse_field": lattice, "pre_map": pre_map, "final_map": final_map}
     return transform, report, artifacts

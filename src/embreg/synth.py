@@ -89,8 +89,11 @@ class SynthSpec:
             raise ShapeMismatch("warp amplitude must be >= 0")
         if self.channels < 4:
             raise ShapeMismatch("need at least 4 feature channels")
-        if self.label_count < 1:
-            raise ShapeMismatch("need at least 1 label")
+        if not 1 <= self.label_count <= 65535:
+            raise ShapeMismatch(f"need 1 to 65535 labels (stored as u16), got {self.label_count}")
+        # A smoothing pass costs time and memory in proportion to its radius.
+        if math.ceil(max(self.feature_smoothness, self.warp_smoothness)) > max(self.dims):
+            raise ShapeMismatch(f"smoothness radius must not exceed the longest axis of {self.dims}")
 
 
 def make_atlas(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

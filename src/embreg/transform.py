@@ -13,7 +13,6 @@ from .grid import Stencil, check_vector_field, identity_grid, trilinear_sample
 from .grid import trilinear_corners, trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps these names here)
 
 SVF_STEPS = 7  # scaling-and-squaring steps of every velocity field the pipeline integrates
-MAX_SVF_STEPS = 1023  # the largest squaring count whose scale 2.0**steps is a finite float
 
 
 @dataclass(frozen=True)
@@ -45,49 +44,34 @@ class CompositeTransform:
                 )
 
 
-def _scale(steps: int) -> float:
-    """``2**steps`` as a float, for ``steps`` from 1 to :data:`MAX_SVF_STEPS`."""
-    if not 1 <= int(steps) <= MAX_SVF_STEPS:
-        raise ShapeMismatch(f"steps must be from 1 to {MAX_SVF_STEPS}, got {steps}")
-    return 2.0 ** int(steps)
-
-
-def _squarings(velocity, steps: int):
-    """Yield ``v / 2**steps`` and then each of its ``steps`` self-compositions.
-
-    A zero ``v`` composes to zero: each squaring would sample a zero field at
-    the grid nodes, so one zero array is yielded ``steps`` times unsampled.
-    """
+def _squarings(velocity):
+    """Yield ``v / 2**SVF_STEPS`` and then each of its :data:`SVF_STEPS` self-compositions."""
     v = check_vector_field(velocity)
-    scale = _scale(steps)
-    u = v / scale
+    u = v / 2.0**SVF_STEPS
     yield u
-    if not u.any():
-        yield from [np.zeros_like(u)] * int(steps)
-        return
     grid = identity_grid(v.shape[:3])
-    for _ in range(int(steps)):
+    for _ in range(SVF_STEPS):
         u = u + trilinear_sample(u, grid + u)
         yield u
 
 
-def integrate_svf(velocity, steps: int = SVF_STEPS) -> np.ndarray:
+def integrate_svf(velocity) -> np.ndarray:
     """Flow of a stationary velocity field via scaling and squaring.
 
-    The initial displacement is ``v / 2**steps``; each of the ``steps``
-    squarings self-composes the field with trilinear sampling (border
-    clamped). Only the last field is kept.
+    The initial displacement is ``v / 2**SVF_STEPS``; each of the
+    :data:`SVF_STEPS` squarings self-composes the field with trilinear
+    sampling (border clamped). Only the last field is kept.
     """
-    return deque(_squarings(velocity, steps), maxlen=1)[0]
+    return deque(_squarings(velocity), maxlen=1)[0]
 
 
-def integrate_svf_with_tape(velocity, steps: int = SVF_STEPS):
+def integrate_svf_with_tape(velocity):
     """Like :func:`integrate_svf` but keeps every intermediate field.
 
     The tape (list of fields, scaled start first) feeds the adjoint pass
     in :func:`svf_backward`.
     """
-    tape = list(_squarings(velocity, steps))
+    tape = list(_squarings(velocity))
     return tape[-1], tape
 
 
@@ -98,16 +82,10 @@ def svf_backward(grad_displacement, tape) -> np.ndarray:
     direct term, the spatial Jacobian of the sampled field at ``x + u(x)``,
     and the sampled lattice values of ``u``. One stencil of the sample
     points serves the last two; it is rebuilt from the tape per step rather
-    than kept on the tape, which would hold every stencil at once. The tape
-    of :func:`integrate_svf_with_tape` gives the count: ``len(tape) - 1``
-    squarings. The tape of a zero velocity samples at the grid nodes, where
-    each step maps ``g`` to ``g + 0 + g``, so a copy of ``g`` is returned
-    without running the steps.
+    than kept on the tape, which would hold every stencil at once. ``tape``
+    is the one :func:`integrate_svf_with_tape` returns.
     """
-    scale = _scale(len(tape) - 1)
     g = np.asarray(grad_displacement, dtype=np.float64)
-    if not tape[0].any():
-        return g.copy()
     dims = g.shape[:3]
     flat_grid = identity_grid(dims).reshape(-1, 3)
     for u in reversed(tape[:-1]):
@@ -115,7 +93,7 @@ def svf_backward(grad_displacement, tape) -> np.ndarray:
         stencil = Stencil(flat_grid + u.reshape(-1, 3), dims)
         g = (g_flat + stencil.vjp(u, g_flat)).reshape(g.shape) + stencil.adjoint(g_flat)
         del stencil  # so that the next step's build does not hold two stencils
-    return g / scale
+    return g / 2.0**SVF_STEPS
 
 
 def compose(transform: CompositeTransform, dims) -> np.ndarray:

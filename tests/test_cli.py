@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 
+from embreg.affine import AffineTransform
+from embreg.bundle import Bundle
 from embreg.cli import main
 from embreg.container import read_vol1, write_vol1
 from embreg.matching import load_matches
@@ -383,8 +385,9 @@ def test_eval_landmark_error_uses_label_spacing(tmp_path):
     dims = (8, 8, 8)
     labels = np.zeros(dims, dtype=np.uint16)
     labels[2:6, 2:6, 2:6] = 1
-    write_vol1(tmp_path / "moving.vol1", labels, dtype="u16")
-    write_vol1(tmp_path / "fixed.vol1", labels, dtype="u16", spacing=(2.0, 1.0, 1.0))
+    # the error is a distance between moving-grid points, so the moving spacing counts
+    write_vol1(tmp_path / "moving.vol1", labels, dtype="u16", spacing=(2.0, 1.0, 1.0))
+    write_vol1(tmp_path / "fixed.vol1", labels, dtype="u16", spacing=(3.0, 1.0, 1.0))
     write_vol1(tmp_path / "gt_map.vol1", identity_grid(dims))
     # the fixed-to-moving map is x - (1, 0, 0): one voxel along z everywhere
     shift = AffineTransform.from_linear_translation(np.eye(3), [1.0, 0.0, 0.0])
@@ -485,6 +488,21 @@ def test_synth_non_finite_spec_exits_3(tmp_path, option, capsys):
     rc = main(["synth", "--out", str(tmp_path / "pair"), option])
     assert rc == 3
     assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "pair").exists()
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--feature-smoothness=100", "smoothness radius"),
+        ("--warp-smoothness=24.5", "smoothness radius"),
+        ("--labels=70000", "65535 labels"),
+    ],
+)
+def test_synth_spec_that_cannot_make_a_pair_exits_3_and_writes_nothing(tmp_path, option, message, capsys):
+    rc = main(["synth", "--out", str(tmp_path / "pair"), option])
+    assert rc == 3
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "pair").exists()
 
 
@@ -725,6 +743,67 @@ def test_match_empty_feature_map_exits_3(synth_pair, tmp_path, empty_sides, shap
     assert rc == 3
     assert "empty" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_coarse_on_a_grid_with_an_empty_axis_exits_3(tmp_path, capsys):
+    empty = tmp_path / "empty.vol1"
+    write_vol1(empty, np.zeros((0, 4, 4, 8)))
+    matches = tmp_path / "matches.txt"
+    matches.write_text("1 1 1 1 1 1 0.9\n")
+    (tmp_path / "affine.json").write_text(AffineTransform.identity().to_json())
+    out = tmp_path / "coarse.vol1"
+    rc = main(
+        [
+            "coarse",
+            "--matches",
+            str(matches),
+            "--affine",
+            str(tmp_path / "affine.json"),
+            "--fixed-features",
+            str(empty),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "stencil grid needs >= 1 voxel per axis" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_register_a_moving_bundle_on_another_grid(tmp_path):
+    from embreg.cli import _write_bundle
+    from embreg.config import PipelineConfig
+    from embreg.pipeline import run_pipeline
+    from embreg.synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
+
+    spec = SynthSpec(dims=(14, 14, 14), channels=8, warp_amplitude=1.0, seed=11)
+    moving, fixed, _ = make_pair(*make_atlas(spec), random_smooth_warp(spec), AffineTransform.identity())
+    pad = ((0, 3), (0, 0), (0, 2))  # at the far faces, so voxel coordinates stay
+    moving = Bundle(
+        features=np.pad(moving.features, pad + ((0, 0),), mode="edge"),
+        intensity=np.pad(moving.intensity, pad, mode="edge"),
+        labels=np.pad(moving.labels, pad, mode="edge"),
+    )
+    _write_bundle(tmp_path / "moving", moving)
+    _write_bundle(tmp_path / "fixed", fixed)
+    rc = main(
+        [
+            "register",
+            "--moving-dir",
+            str(tmp_path / "moving"),
+            "--fixed-dir",
+            str(tmp_path / "fixed"),
+            "--out",
+            str(tmp_path / "reg"),
+            "--set",
+            "instance_iterations=5",
+        ]
+    )
+    assert rc == 0
+    transform, _, _ = run_pipeline(PipelineConfig(instance_iterations=5), moving, fixed)
+    written = read_vol1(tmp_path / "reg" / "dense.vol1").values
+    assert written.shape == (14, 14, 14, 3)
+    assert written.tobytes() == transform.dense.tobytes()
 
 
 @pytest.mark.parametrize("command", ["register", "instance"])

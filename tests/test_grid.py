@@ -255,6 +255,13 @@ def test_stencil_rejects_field_on_another_grid():
         stencil.sample(np.zeros((3, 3, 4)))
 
 
+@pytest.mark.parametrize("dims", [(0, 4, 4), (4, 0, 4), (4, 4, 0)])
+def test_stencil_rejects_a_grid_with_an_empty_axis(dims):
+    # its column indices would point outside the field
+    with pytest.raises(ShapeMismatch, match="stencil grid needs >= 1 voxel per axis"):
+        Stencil(np.zeros((2, 3)), dims)
+
+
 @settings(max_examples=150, deadline=None)
 @given(stencil_cases(), st.integers(1, 7))
 def test_stencil_point_blocks_are_byte_identical(case, block):

@@ -84,6 +84,12 @@ def test_reg_loss_matches_direct_sum():
     assert reg_loss(f) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4, 3), (4, 4, 0, 3)])
+def test_reg_loss_rejects_an_empty_field(shape):
+    with pytest.raises(ShapeMismatch, match="non-empty"):
+        reg_loss(np.zeros(shape))
+
+
 def test_objective_zero_field_identical_volumes():
     rng = np.random.default_rng(3)
     feats = random_features(rng, (5, 5, 5), 8)
@@ -130,6 +136,22 @@ def test_gradient_matches_finite_differences_svf():
     assert len(idxs) >= 4
     for idx, want in fd_gradient(zero, args, config, idxs, h=1e-7, forward=True).items():
         assert grad[idx] == pytest.approx(want, abs=2e-8)
+
+
+@pytest.mark.parametrize("term", ["none", "ncc", "lncc"])
+def test_zero_velocity_start_gives_the_bytes_of_the_zero_displacement(term):
+    # The descent starts at the zero field, where a velocity is its own
+    # integral and the SVF adjoint returns the cotangent.
+    rng = np.random.default_rng(8)
+    dims = (5, 6, 4)
+    feats_m, feats_f = random_features(rng, dims, 6), random_features(rng, dims, 6)
+    img_m, img_f = rng.normal(size=dims), rng.normal(size=dims)
+    got = []
+    for parameterization in ("svf", "displacement"):
+        config = PipelineConfig(lambda_reg=0.75, intensity_term=term, parameterization=parameterization)
+        args = (np.zeros(dims + (3,)), feats_m, feats_f, img_m, img_f, config)
+        got.append((instance_objective(*args), instance_gradient(*args).tobytes()))
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("parameterization", ["displacement", "svf"])

@@ -91,17 +91,29 @@ def test_pipeline_stage_errors_are_prefixed():
         run_pipeline(cfg, bundle, bundle)
 
 
-def test_pipeline_rejects_mismatched_bundles():
-    s1 = SynthSpec(dims=(8, 8, 8), channels=4, seed=6)
-    s2 = SynthSpec(dims=(10, 10, 10), channels=4, seed=6)
-    f1, l1, i1 = make_atlas(s1)
-    f2, l2, i2 = make_atlas(s2)
-    with pytest.raises(ShapeMismatch):
-        run_pipeline(
-            fast_config(),
-            Bundle(features=f1, intensity=i1, labels=l1),
-            Bundle(features=f2, intensity=i2, labels=l2),
-        )
+def test_pipeline_registers_a_moving_bundle_on_another_grid():
+    moving, fixed, _, landmarks = synth_case(seed=1, dims=(20, 20, 20))
+    _, same, _ = run_pipeline(fast_config(), moving, fixed, landmarks=landmarks)
+    pad = ((0, 3), (0, 0), (0, 2))  # at the far faces, so voxel coordinates stay
+    big = Bundle(
+        features=np.pad(moving.features, pad + ((0, 0),), mode="edge"),
+        intensity=np.pad(moving.intensity, pad, mode="edge"),
+        labels=np.pad(moving.labels, pad, mode="edge"),
+    )
+    transform, report, artifacts = run_pipeline(fast_config(), big, fixed, landmarks=landmarks)
+    assert transform.dense.shape == artifacts["final_map"].shape == (20, 20, 20, 3)
+    assert report.mean_dice == pytest.approx(same.mean_dice, abs=0.01)
+    assert report.mean_landmark_error == pytest.approx(same.mean_landmark_error, rel=0.1)
+
+
+def test_landmark_error_is_measured_in_the_moving_spacing():
+    # final_map(x_f) - x_m is a distance in moving-grid voxels
+    moving, fixed, _, landmarks = synth_case(seed=2)
+    config = fast_config(instance_iterations=3)
+    _, unit, _ = run_pipeline(config, moving, fixed, landmarks=landmarks)
+    wide = Bundle(moving.features, moving.intensity, moving.labels, spacing=(2.0, 2.0, 2.0))
+    _, report, _ = run_pipeline(config, wide, fixed, landmarks=landmarks)
+    assert report.mean_landmark_error == 2.0 * unit.mean_landmark_error
 
 
 @pytest.mark.parametrize(

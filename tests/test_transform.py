@@ -5,7 +5,6 @@ from embreg.affine import AffineTransform, apply_affine, invert_affine
 from embreg.errors import ShapeMismatch
 from embreg.grid import Stencil, identity_grid, trilinear_sample
 from embreg.transform import (
-    MAX_SVF_STEPS,
     SVF_STEPS,
     CompositeTransform,
     compose,
@@ -29,7 +28,7 @@ def smooth_field(rng, dims, scale):
 
 
 def test_integrate_zero_velocity_is_zero():
-    out = integrate_svf(np.zeros((4, 4, 4, 3)), steps=5)
+    out = integrate_svf(np.zeros((4, 4, 4, 3)))
     np.testing.assert_array_equal(out, 0.0)
 
 
@@ -40,7 +39,7 @@ def test_zero_velocity_tape_is_zero_and_its_adjoint_returns_the_cotangent():
     assert all(u.shape == dims + (3,) and not u.any() for u in tape)
     g = np.random.default_rng(4).normal(size=dims + (3,))
     assert svf_backward(g, tape).tobytes() == g.tobytes()
-    # Each adjoint step it skips maps g to g + 0 + g at the grid nodes.
+    # Each adjoint step maps g to g + 0 + g at the grid nodes.
     flat = g.reshape(-1, 3)
     stencil = Stencil(identity_grid(dims).reshape(-1, 3), dims)
     step = flat + stencil.vjp(tape[0], flat) + stencil.adjoint(flat).reshape(-1, 3)
@@ -52,29 +51,16 @@ def test_integrate_constant_velocity_in_interior():
     # so the integrated displacement equals the velocity there
     v = np.zeros((9, 9, 9, 3))
     v[..., 2] = 0.5
-    u = integrate_svf(v, steps=6)
+    u = integrate_svf(v)
     np.testing.assert_allclose(u[3:6, 3:6, 3:6, 2], 0.5, atol=1e-12)
-
-
-def test_integration_converges_with_steps():
-    # doubling the step count changes the result less and less
-    rng = np.random.default_rng(0)
-    v = smooth_field(rng, (8, 8, 8), scale=1.5)
-    diffs = []
-    prev = integrate_svf(v, steps=2)
-    for steps in (4, 6, 8):
-        cur = integrate_svf(v, steps=steps)
-        diffs.append(float(np.max(np.abs(cur - prev))))
-        prev = cur
-    assert diffs[0] > diffs[1] > diffs[2]
 
 
 def test_integration_inverse_velocity_composes_to_near_identity():
     rng = np.random.default_rng(1)
     dims = (12, 12, 12)
     v = smooth_field(rng, dims, scale=1.0)
-    fwd = integrate_svf(v, steps=7)
-    bwd = integrate_svf(-v, steps=7)
+    fwd = integrate_svf(v)
+    bwd = integrate_svf(-v)
     grid = identity_grid(dims)
     # phi^-1(phi(x)) - x should be small in the interior
     comp = fwd + trilinear_sample(bwd, grid + fwd)
@@ -85,9 +71,9 @@ def test_integration_inverse_velocity_composes_to_near_identity():
 def test_tape_final_entry_matches_plain_integration():
     rng = np.random.default_rng(2)
     v = smooth_field(rng, (6, 6, 6), scale=1.0)
-    u, tape = integrate_svf_with_tape(v, steps=4)
+    u, tape = integrate_svf_with_tape(v)
     np.testing.assert_array_equal(u, tape[-1])
-    np.testing.assert_allclose(u, integrate_svf(v, steps=4), atol=1e-15)
+    np.testing.assert_allclose(u, integrate_svf(v), atol=1e-15)
 
 
 def test_svf_backward_matches_finite_differences():
@@ -95,12 +81,11 @@ def test_svf_backward_matches_finite_differences():
     dims = (5, 5, 5)
     v = smooth_field(rng, dims, scale=0.8)
     weights = rng.normal(size=dims + (3,))
-    steps = 4
 
     def loss(vel):
-        return float(np.sum(weights * integrate_svf(vel, steps=steps)))
+        return float(np.sum(weights * integrate_svf(vel)))
 
-    _, tape = integrate_svf_with_tape(v, steps=steps)
+    _, tape = integrate_svf_with_tape(v)
     grad = svf_backward(weights, tape)
     h = 1e-6
     idxs = [tuple(rng.integers(0, s) for s in v.shape) for _ in range(12)]
@@ -111,19 +96,6 @@ def test_svf_backward_matches_finite_differences():
         vm[idx] -= h
         fd = (loss(vp) - loss(vm)) / (2 * h)
         assert grad[idx] == pytest.approx(fd, abs=5e-6)
-
-
-@pytest.mark.parametrize("steps", [0, MAX_SVF_STEPS + 1, 2000])
-def test_squaring_count_whose_scale_is_not_a_finite_float_is_rejected(steps):
-    v = np.zeros((3, 3, 3, 3))
-    with pytest.raises(ShapeMismatch, match="steps must be from 1 to"):
-        integrate_svf(v, steps=steps)
-
-
-def test_largest_finite_squaring_count_is_accepted():
-    # a constant velocity flows to itself
-    v = np.ones((3, 3, 3, 3))
-    np.testing.assert_allclose(integrate_svf(v, steps=MAX_SVF_STEPS), v, rtol=1e-12)
 
 
 def test_compose_affine_only_is_inverse_affine_of_grid():
