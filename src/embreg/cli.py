@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -74,15 +75,7 @@ def _write_bundle(directory: Path, bundle: Bundle) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        dims=args.dims,
-        channels=args.channels,
-        feature_smoothness=args.feature_smoothness,
-        warp_amplitude=args.warp_amplitude,
-        warp_smoothness=args.warp_smoothness,
-        label_count=args.labels,
-        seed=args.seed,
-    )
+    spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
     features, labels, intensity = make_atlas(spec)
     velocity = random_smooth_warp(spec)
     rng_affine = AffineTransform.from_linear_translation(
@@ -230,14 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic registration pair")
     p.add_argument("--out", required=True)
-    p.add_argument("--dims", type=_parse_dims, default="24,24,24")
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--feature-smoothness", type=float, default=2.0)
-    p.add_argument("--warp-amplitude", type=float, default=2.0)
-    p.add_argument("--warp-smoothness", type=float, default=4.0)
+    for f in fields(SynthSpec):
+        name = "labels" if f.name == "label_count" else f.name
+        kind = _parse_dims if f.name == "dims" else type(f.default)
+        flag = "--" + name.replace("_", "-")
+        p.add_argument(flag, dest=f.name, metavar=name.upper(), type=kind, default=f.default)
     p.add_argument("--translation", type=float, default=1.5)
-    p.add_argument("--labels", type=int, default=3)
     p.set_defaults(func=cmd_synth)
 
     def common(p):

@@ -38,7 +38,7 @@ class EmptyOverlap(RegistrationError):
 
 
 class DegenerateIntensity(RegistrationError):
-    """Zero-variance intensities make a correlation undefined."""
+    """Intensities whose variance is zero, or too large for a float sum, make a correlation undefined."""
 
 
 class PairingError(RegistrationError):

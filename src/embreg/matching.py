@@ -133,33 +133,28 @@ def _memo_search(feat_key, feat_query):
     return search
 
 
-def sscc(feat_moving, feat_fixed, step: int = 4, iterations: int = 5) -> MatchSet:
+def sscc(feat_moving, feat_fixed, step: int, iterations: int) -> MatchSet:
     """Stable sampling via cycle consistency.
 
     Starts from an even lattice on the moving grid and alternates
     forward/backward nearest-feature searches for up to ``iterations``
-    rounds. It stops at the first search that returns exactly the points
-    the previous search in the same direction returned (the starting
-    lattice counts as the previous backward result): every later search
-    would get the same input, so the result is identical to running all
-    ``iterations`` rounds. A key's match depends on the key alone, so each
-    voxel is searched at most once per direction and later rounds read its
-    match from a per-direction lookup. Duplicate ``(moving, fixed)`` pairs
-    are collapsed to one, keeping first-occurrence order.
+    rounds. It stops once a round's backward search returns the points
+    that round started from: every later round would repeat it, so the
+    result is identical to running all ``iterations`` rounds. A key's
+    match depends on the key alone, so each voxel is searched at most once
+    per direction and later rounds read its match from a per-direction
+    lookup. Duplicate ``(moving, fixed)`` pairs are collapsed to one,
+    keeping first-occurrence order.
     """
     if int(iterations) < 1:
         raise InvalidStep(f"iterations must be >= 1, got {iterations}")
     fm = np.asarray(feat_moving, dtype=np.float64)
     ff = np.asarray(feat_fixed, dtype=np.float64)
     x_m = select_points(fm.shape[:3], step)
-    x_f = None
     forward = _memo_search(fm, ff)
     backward = _memo_search(ff, fm)
     for _ in range(int(iterations)):
-        fwd = forward(x_m)
-        if x_f is not None and np.array_equal(fwd, x_f):
-            break
-        x_f = fwd
+        x_f = forward(x_m)
         back = backward(x_f)
         if np.array_equal(back, x_m):
             break

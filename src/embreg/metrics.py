@@ -11,6 +11,7 @@ from scipy import ndimage
 from .errors import DegenerateIntensity, PairingError, ShapeMismatch
 
 _VAR_EPS = 1e-12
+_TOO_LARGE = "intensities too large for a correlation: a variance sum overflows"
 LNCC_WINDOW = 9  # voxels per side of the instance loss's LNCC window
 
 
@@ -88,13 +89,17 @@ def ncc_gradient(a, b) -> tuple[float, np.ndarray]:
     bv = np.asarray(b, dtype=np.float64)
     if av.shape != bv.shape:
         raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
-    az = av - av.mean()
-    bz = bv - bv.mean()
-    saa = float(np.sum(az * az))
-    sbb = float(np.sum(bz * bz))
+    with np.errstate(over="ignore", invalid="ignore"):
+        az = av - av.mean()
+        bz = bv - bv.mean()
+        saa = float(np.sum(az * az))
+        sbb = float(np.sum(bz * bz))
+        product = saa * sbb
+    if not np.isfinite(product):
+        raise DegenerateIntensity(_TOO_LARGE)
     if saa <= _VAR_EPS or sbb <= _VAR_EPS:
         raise DegenerateIntensity("zero variance volume in NCC")
-    denom = np.sqrt(saa * sbb)
+    denom = np.sqrt(product)
     value = float(np.sum(az * bz) / denom)
     grad = bz / denom - value * az / saa
     return value, grad
@@ -131,8 +136,11 @@ def lncc_fixed(b, window: int = LNCC_WINDOW) -> LnccFixed:
     sums = np.empty((3,) + bv.shape)
     n, mean_b, sbb = sums
     n[...] = _box_sum(np.ones_like(bv), window)
-    np.divide(_box_sum(bv, window), n, out=mean_b)
-    sbb[...] = _box_sum(bv * bv, window) - n * mean_b * mean_b
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(_box_sum(bv, window), n, out=mean_b)
+        sbb[...] = _box_sum(bv * bv, window) - n * mean_b * mean_b
+    if not np.isfinite(sbb).all():
+        raise DegenerateIntensity(_TOO_LARGE)
     return LnccFixed(bv, window, n, mean_b, sbb)
 
 
@@ -153,11 +161,15 @@ def lncc_gradient(a, fixed: LnccFixed) -> tuple[float, np.ndarray]:
     bv, n, mean_b, sbb = fixed.volume, fixed.count, fixed.mean, fixed.centred
     if av.shape != bv.shape:
         raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
-    mean_a = _box_sum(av, window) / n
-    saa = _box_sum(av * av, window) - n * mean_a * mean_a
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_a = _box_sum(av, window) / n
+        saa = _box_sum(av * av, window) - n * mean_a * mean_a
+        product = saa * sbb
+    if not np.isfinite(product).all():
+        raise DegenerateIntensity(_TOO_LARGE)
     sab = _box_sum(av * bv, window) - n * mean_a * mean_b
     good = (saa > _VAR_EPS) & (sbb > _VAR_EPS)
-    denom = np.sqrt(np.where(good, saa * sbb, 1.0))
+    denom = np.sqrt(np.where(good, product, 1.0))
     corr = np.where(good, sab / denom, 0.0)
     value = float(corr.mean())
     inv_d = np.where(good, 1.0 / denom, 0.0)

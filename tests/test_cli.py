@@ -1,6 +1,7 @@
 import json
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -817,6 +818,70 @@ def test_zero_channel_features_exit_3_when_loaded(synth_pair, tmp_path, command,
     assert rc == 3
     # rejected as the bundle is loaded, before any stage runs
     assert capsys.readouterr().err.startswith("error: feature map must not be empty")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, message",
+    [
+        ("instance", "features.vol1", "feature maps differ: (14, 14, 14, 8) vs (14, 14, 14, 16)"),
+        ("register", "intensity.vol1", "intensity grid (13, 14, 14) != feature grid (14, 14, 14)"),
+        ("register", "labels.vol1", "label grid differs from feature grid"),
+    ],
+)
+def test_fixed_volume_that_does_not_fit_the_pair_exits_3(
+    synth_pair, tmp_path, command, name, message, capsys
+):
+    fixed = tmp_path / "fixed"
+    shutil.copytree(synth_pair / "fixed", fixed)
+    vol = read_vol1(fixed / name)
+    # 16 feature channels against the moving map's 8; a scalar volume one plane short
+    values = np.concatenate([vol.values] * 2, axis=-1) if name == "features.vol1" else vol.values[1:]
+    write_vol1(fixed / name, values, dtype=vol.dtype)
+    out = tmp_path / "out"
+    dirs = ["--moving-dir", str(synth_pair / "moving"), "--fixed-dir", str(fixed)]
+    rc = main([command, *dirs, "--out", str(out)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("term", ["ncc", "lncc"])
+def test_register_with_intensities_too_large_for_a_correlation_exits_3(synth_pair, tmp_path, term, capsys):
+    moving = tmp_path / "moving"
+    shutil.copytree(synth_pair / "moving", moving)
+    vol = read_vol1(moving / "intensity.vol1")
+    write_vol1(moving / "intensity.vol1", vol.values * 1e200)
+    out = tmp_path / "reg"
+    dirs = ["--moving-dir", str(moving), "--fixed-dir", str(synth_pair / "fixed")]
+    rc = main(["register", *dirs, "--out", str(out), "--set", f"intensity_term={term}"])
+    assert rc == 3
+    assert "intensities too large for a correlation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coarse_whose_objective_overflows_exits_4(synth_pair, tmp_path, capsys):
+    (tmp_path / "matches.txt").write_text("1 1 1 1 1 1 0.9\n")
+    affine = AffineTransform.from_linear_translation(np.eye(3), np.array([1e200, 0.0, 0.0]))
+    (tmp_path / "affine.json").write_text(affine.to_json())
+    out = tmp_path / "coarse.vol1"
+    argv = [
+        "coarse",
+        "--matches",
+        str(tmp_path / "matches.txt"),
+        "--affine",
+        str(tmp_path / "affine.json"),
+        "--fixed-features",
+        str(synth_pair / "fixed/features.vol1"),
+        "--out",
+        str(out),
+    ]
+    # The squared residual overflows to inf; the descent reports that, not numpy.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(argv)
+    assert rc == 4
+    assert "initial objective not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

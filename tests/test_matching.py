@@ -216,9 +216,34 @@ def test_sscc_stops_after_two_searches_on_identical_maps(monkeypatch):
         return find_points(*args)
 
     monkeypatch.setattr(matching, "find_points", counting)
-    ms = sscc(feats, feats, iterations=5)
+    ms = sscc(feats, feats, step=4, iterations=5)
     assert len(calls) == 2
     np.testing.assert_array_equal(ms.moving, ms.fixed)
+
+
+def test_sscc_with_a_huge_round_count_returns_at_its_fixed_point(monkeypatch):
+    # Without the stop, rounds past the fixed point would read memo lookups
+    # for 10**18 rounds; the wrapped lookups fail the test after 50 calls.
+    fm, ff = planted_ambiguity()
+    expected = sscc(fm, ff, step=2, iterations=5)
+    memo_search = matching._memo_search
+    lookups = []
+
+    def bounded(feat_key, feat_query):
+        search = memo_search(feat_key, feat_query)
+
+        def counted(keys):
+            lookups.append(1)
+            assert len(lookups) <= 50, "sscc did not stop at its fixed point"
+            return search(keys)
+
+        return counted
+
+    monkeypatch.setattr(matching, "_memo_search", bounded)
+    ms = sscc(fm, ff, step=2, iterations=10**18)
+    np.testing.assert_array_equal(ms.moving, expected.moving)
+    np.testing.assert_array_equal(ms.fixed, expected.fixed)
+    np.testing.assert_array_equal(ms.scores, expected.scores)
 
 
 def test_filter_matches_threshold_behavior():

@@ -142,6 +142,21 @@ def test_lncc_matches_brute_force_windows():
         )
 
 
+@pytest.mark.parametrize("side", ["moving", "fixed"])
+@pytest.mark.parametrize("metric", ["ncc", "lncc"])
+def test_correlation_of_intensities_too_large_raises(metric, side):
+    # Both correlations are scale-free; once a variance sum overflows they
+    # cannot be computed, and must not read 0 with a zero gradient.
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(8, 8, 8))
+    b = a + rng.normal(size=a.shape)
+    value = {"ncc": ncc, "lncc": lncc}[metric]
+    scaled = (lambda s: (a * s, b)) if side == "moving" else (lambda s: (a, b * s))
+    assert value(*scaled(1e150)) == pytest.approx(value(a, b), rel=1e-12)
+    with pytest.raises(DegenerateIntensity, match="intensities too large"):
+        value(*scaled(1e160))
+
+
 def test_lncc_degenerate_windows_contribute_zero():
     a = np.zeros((5, 5, 5))
     b = np.zeros((5, 5, 5))
