@@ -16,6 +16,12 @@ CONDITION_LIMIT = 1e12
 _DET_EPS = 1e-12
 
 
+def _singular(linear) -> bool:
+    """Whether a 3x3 block's determinant is within ``_DET_EPS`` of 0; an infinite one is not."""
+    with np.errstate(over="ignore"):
+        return abs(np.linalg.det(linear)) <= _DET_EPS
+
+
 @dataclass(frozen=True)
 class AffineTransform:
     """4x4 homogeneous matrix with last row (0, 0, 0, 1)."""
@@ -30,7 +36,7 @@ class AffineTransform:
             raise ShapeMismatch("non-finite affine matrix")
         if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
             raise ShapeMismatch(f"last affine row must be (0,0,0,1), got {m[3]}")
-        if abs(np.linalg.det(m[:3, :3])) <= _DET_EPS:
+        if _singular(m[:3, :3]):
             raise SingularAffine("affine linear block is singular")
         object.__setattr__(self, "matrix", m)
 
@@ -113,7 +119,7 @@ def apply_affine(transform: AffineTransform, points) -> np.ndarray:
 def invert_affine(transform: AffineTransform) -> AffineTransform:
     """Exact homogeneous inverse."""
     lin = transform.linear
-    if abs(np.linalg.det(lin)) <= _DET_EPS:
+    if _singular(lin):
         raise SingularAffine("cannot invert: singular linear block")
     inv_lin = np.linalg.inv(lin)
     return AffineTransform.from_linear_translation(inv_lin, -inv_lin @ transform.translation)

@@ -40,7 +40,8 @@ def _match_targets(matches: MatchSet, affine: AffineTransform, lattice_shape):
 def _coarse_loss(lattice, stencil: Stencil, y, xm, reg_weight: float):
     """Coarse objective at ``lattice`` and a closure for its gradient."""
     resid = xm - (y + stencil.sample(lattice))
-    data = float(np.mean(np.sum(resid * resid, axis=1)))
+    with np.errstate(over="ignore"):  # an infinite objective is the descent's to report
+        data = float(np.mean(np.sum(resid * resid, axis=1)))
     reg, reg_gradient = smoothness(lattice)
     value = data + float(reg_weight) * reg
 

@@ -156,18 +156,16 @@ class Stencil:
         or an intensity) is dotted as a sum of per-channel products, a wider
         feature map with ``np.einsum``. The derivative is zero along any axis
         where a point is clamped (at or outside the boundary), matching the
-        piecewise-linear interpolant. ``g`` is shaped like the samples, or is a
-        function that returns its ``(m, C)`` rows for a slice of points, called
-        once per :func:`row_blocks` block, so the caller never holds all of it.
+        piecewise-linear interpolant. ``g`` is shaped like the samples and read
+        one :func:`row_blocks` block at a time; the instance loss passes its
+        sampled features, overwritten with their cotangent.
         """
         flat = self._flat(field)
         channels = flat.shape[1]
-        if not callable(g):
-            g_rows = np.asarray(g, dtype=np.float64).reshape(len(self.index), channels)
-            g = g_rows.__getitem__
+        g_rows = np.asarray(g, dtype=np.float64).reshape(len(self.index), channels)
         dots = np.empty((8, len(self.index)))
         for block in row_blocks(len(self.index), channels):
-            g_block = g(block)
+            g_block = g_rows[block]
             for k in range(8):
                 corner = flat.take(self.index[block, k], axis=0)
                 if channels > _PRODUCT_CHANNELS:

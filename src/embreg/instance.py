@@ -14,7 +14,7 @@ import numpy as np
 from .config import PipelineConfig
 from .descent import PROGRESS, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
-from .grid import Stencil, check_vector_field, identity_grid, normalize_rows
+from .grid import Stencil, check_vector_field, identity_grid, normalize_rows, row_blocks
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .metrics import lncc_fixed, lncc_gradient, ncc_gradient
 from .transform import integrate_svf, integrate_svf_with_tape, svf_backward
@@ -33,7 +33,7 @@ def _unmasked(features) -> np.ndarray:
 
 
 def _sam_terms(warped, warped_unmasked, fixed, fixed_unmasked):
-    """Feature loss and a closure giving row blocks of its gradient.
+    """Feature loss, the ``(n,)`` rows unmasked on both sides, and their count.
 
     ``warped_unmasked`` and ``fixed_unmasked`` are both sides' :func:`_unmasked` masks.
     """
@@ -45,18 +45,7 @@ def _sam_terms(warped, warped_unmasked, fixed, fixed_unmasked):
         raise EmptyOverlap("all voxels masked in feature loss")
     sims = np.einsum("...c,...c->...", warped, fixed)
     value = float(np.sum((1.0 - sims)[unmasked]) / n)
-
-    fixed_rows = fixed.reshape(-1, fixed.shape[-1])
-    unmasked_rows = unmasked.reshape(-1)
-
-    def gradient(block) -> np.ndarray:
-        """Rows ``block`` of the gradient w.r.t. the ``(n, C)`` warped rows."""
-        g = -fixed_rows[block]
-        g /= n
-        g[~unmasked_rows[block]] = 0.0
-        return g
-
-    return value, gradient
+    return value, unmasked.reshape(-1), n
 
 
 def reg_loss(field) -> float:
@@ -108,9 +97,10 @@ def _loss(field, feats_m, img_m, feats_f, fixed_unmasked, img_f, config):
     warped_rows = warped.reshape(-1, warped.shape[-1])
     safe, masked = normalize_rows(warped_rows)
     # The warped vectors are unit or zero, so ``~masked`` is their _unmasked mask.
-    sim_value, sam_gradient = _sam_terms(
+    sim_value, unmasked, n = _sam_terms(
         warped, ~masked.reshape(warped.shape[:-1]), feats_f, fixed_unmasked
     )
+    fixed_rows = feats_f.reshape(warped_rows.shape)
 
     if config.intensity_term != "none":
         if img_m is None or img_f is None:
@@ -125,30 +115,24 @@ def _loss(field, feats_m, img_m, feats_f, fixed_unmasked, img_f, config):
     reg_value, reg_gradient = smoothness(field)
     value = sim_value + config.lambda_reg * reg_value
 
-    def feature_gradient() -> np.ndarray:
-        def g_raw(block):
-            # back through per-voxel re-normalization: (I - s s^T) / |raw|
-            g = sam_gradient(block)
+    def gradient() -> np.ndarray:
+        nonlocal warped_rows, stencil
+        # The feature cotangent, written over the sampled features one row block
+        # at a time: back through per-voxel re-normalization, (I - s s^T) / |raw|.
+        for block in row_blocks(*warped_rows.shape):
+            g = -fixed_rows[block]
+            g /= n
+            g[~unmasked[block]] = 0.0  # masked warped rows too, and w is 0 there
             w = warped_rows[block]
             g -= np.einsum("nc,nc->n", g, w)[:, None] * w
-            g /= safe[block]
-            g[masked[block]] = 0.0
-            return g
-
-        return stencil.vjp(feats_m, g_raw)
-
-    def intensity_gradient() -> np.ndarray:
-        return stencil.vjp(img_m, -g_img)
-
-    def gradient() -> np.ndarray:
-        nonlocal feature_gradient, intensity_gradient
-        g_disp = feature_gradient()
-        # Free the sampled features before the intensity term's product, and
-        # the stencil before the SVF adjoint builds its own.
-        feature_gradient = None
+            np.divide(g, safe[block], out=w)
+        g_disp = stencil.vjp(feats_m, warped_rows)
+        # Free the cotangent and the loop's last block before the intensity
+        # term's product, and the stencil before the SVF adjoint builds its own.
+        warped_rows = w = g = None
         if config.intensity_term != "none":
-            g_disp += intensity_gradient()
-        intensity_gradient = None
+            g_disp += stencil.vjp(img_m, -g_img)
+        stencil = None
         g_field = svf_backward(g_disp, tape) if tape is not None else g_disp
         return g_field + config.lambda_reg * reg_gradient()
 

@@ -1,7 +1,6 @@
 import json
 import shutil
 import struct
-import warnings
 
 import numpy as np
 import pytest
@@ -572,7 +571,12 @@ def test_eval_malformed_transform_exits_3(tmp_path, manifest, affine, capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [b"1 2 x 4 5 6 0.9\n", b"\xff1 2 3 4 5 6 0.9\n", b"99999999999999999999 1 1 1 1 1 0.9\n"],
+    [
+        b"1 2 x 4 5 6 0.9\n",
+        b"\xff1 2 3 4 5 6 0.9\n",
+        b"99999999999999999999 1 1 1 1 1 0.9\n",
+        b"1 2 3 4 5 6\n",
+    ],
 )
 def test_affine_malformed_matches_exits_3(tmp_path, content, capsys):
     matches = tmp_path / "matches.txt"
@@ -877,11 +881,28 @@ def test_coarse_whose_objective_overflows_exits_4(synth_pair, tmp_path, capsys):
         str(out),
     ]
     # The squared residual overflows to inf; the descent reports that, not numpy.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc = main(argv)
+    rc = main(argv)
     assert rc == 4
     assert "initial objective not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["coarse", "instance"])
+def test_affine_whose_determinant_overflows_exits_3(synth_pair, tmp_path, command, capsys):
+    # det(1e300 I) overflows to inf, which is not singular; the inverse's det underflows to 0.
+    affine = AffineTransform.from_linear_translation(1e300 * np.eye(3), np.zeros(3))
+    (tmp_path / "affine.json").write_text(affine.to_json())
+    (tmp_path / "matches.txt").write_text("1 1 1 1 1 1 0.9\n")
+    out = tmp_path / "out.vol1"
+    inputs = {
+        "coarse": ["--matches", str(tmp_path / "matches.txt"),
+                   "--fixed-features", str(synth_pair / "fixed/features.vol1")],
+        "instance": ["--moving-dir", str(synth_pair / "moving"),
+                     "--fixed-dir", str(synth_pair / "fixed")],
+    }[command]
+    rc = main([command, *inputs, "--affine", str(tmp_path / "affine.json"), "--out", str(out)])
+    assert rc == 3
+    assert "affine linear block is singular" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -936,6 +957,33 @@ def test_eval_non_finite_gt_map_exits_3(synth_pair, tmp_path, capsys):
     )
     assert rc == 3
     assert "non-finite ground-truth map" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_non_finite_dense_field_exits_3(synth_pair, tmp_path, capsys):
+    _identity_transform(tmp_path)
+    dense = np.zeros((14, 14, 14, 3))
+    dense[3, 4, 5, 1] = np.nan
+    write_vol1(tmp_path / "dense.vol1", dense)
+    (tmp_path / "transform.json").write_text(
+        json.dumps({"affine": "affine.json", "dense": "dense.vol1"})
+    )
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(tmp_path),
+            "--moving-labels",
+            str(synth_pair / "moving/labels.vol1"),
+            "--fixed-labels",
+            str(synth_pair / "fixed/labels.vol1"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "non-finite dense displacement" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,7 +11,6 @@ from embreg.grid import (
     identity_grid,
     normalize_features,
     normalize_rows,
-    row_blocks,
     trilinear_corners,
     trilinear_sample,
     trilinear_sample_with_grad,
@@ -299,25 +298,6 @@ def test_trilinear_sample_point_blocks_are_byte_identical(case, block):
         assert a.tobytes() == b.tobytes()
     # Stencil works on its own copy of the points.
     assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, (pts, jittered)))
-
-def test_stencil_vjp_takes_cotangent_rows_from_a_function():
-    rng = np.random.default_rng(11)
-    dims = (4, 5, 3)
-    stencil = Stencil(identity_grid(dims) + rng.uniform(-1.5, 1.5, dims + (3,)), dims)
-    field = rng.normal(size=dims + (6,))
-    g = rng.normal(size=dims + (6,))
-    asked = []
-
-    def g_rows(block):
-        asked.append(block)
-        return g.reshape(-1, 6)[block].copy()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grid, "_GATHER_BYTES", 8 * 6 * 7)
-        got = stencil.vjp(field, g_rows)
-        assert asked == row_blocks(60, 6)
-        assert len(asked) == 9
-    assert got.tobytes() == stencil.vjp(field, g).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

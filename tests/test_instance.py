@@ -1,4 +1,5 @@
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from embreg.instance import (
     sam_loss,
 )
 from embreg.synth import make_atlas, SynthSpec
-from embreg.transform import integrate_svf
+from embreg.transform import integrate_svf, svf_backward
 
 
 def random_features(rng, dims, channels):
@@ -250,6 +251,44 @@ def test_optimize_returns_the_displacement_of_the_descended_field(
     assert np.any(field)
     want = integrate_svf(field) if parameterization == "svf" else field
     assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("term", ["none", "ncc", "lncc"])
+def test_gradient_frees_samples_and_stencil_before_the_svf_adjoint(monkeypatch, term):
+    # The sampled features, which the gradient overwrites with their cotangent,
+    # and the warped grid's stencil are dead before the SVF adjoint builds its own.
+    refs = []
+
+    class TrackedStencil(grid.Stencil):
+        def __init__(self, points, dims):
+            super().__init__(points, dims)
+            refs.append(weakref.ref(self))
+
+        def sample(self, field):
+            out = owner = super().sample(field)
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            refs.append(weakref.ref(owner))
+            return out
+
+    adjoints = []
+
+    def checked_svf_backward(g, tape):
+        assert not [r for r in refs if r() is not None]
+        adjoints.append(len(refs))
+        return svf_backward(g, tape)
+
+    monkeypatch.setattr(instance, "Stencil", TrackedStencil)
+    monkeypatch.setattr(instance, "svf_backward", checked_svf_backward)
+    spec = SynthSpec(dims=(8, 8, 8), channels=4, seed=2)
+    feats_f, _, img_f = make_atlas(spec)
+    shift = np.zeros((8, 8, 8, 3))
+    shift[..., 2] = 0.5
+    pull = grid.identity_grid((8, 8, 8)) - shift
+    feats_m, img_m = warp_features(feats_f, pull), grid.warp_scalar(img_f, pull)
+    config = PipelineConfig(intensity_term=term, parameterization="svf", instance_iterations=3)
+    optimize_instance(feats_m, feats_f, img_m, img_f, config)
+    assert adjoints
 
 
 def test_intensity_term_requires_images():
