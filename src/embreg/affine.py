@@ -118,8 +118,5 @@ def apply_affine(transform: AffineTransform, points) -> np.ndarray:
 
 def invert_affine(transform: AffineTransform) -> AffineTransform:
     """Exact homogeneous inverse."""
-    lin = transform.linear
-    if _singular(lin):
-        raise SingularAffine("cannot invert: singular linear block")
-    inv_lin = np.linalg.inv(lin)
+    inv_lin = np.linalg.inv(transform.linear)
     return AffineTransform.from_linear_translation(inv_lin, -inv_lin @ transform.translation)

@@ -8,6 +8,7 @@ import numpy as np
 
 from .container import _bad_spacing
 from .errors import ShapeMismatch
+from .matching import check_unit_or_zero
 from .metrics import check_labels
 
 
@@ -18,8 +19,10 @@ class Bundle:
     ``features`` and ``intensity`` are stored as C-contiguous float64: a
     contiguous float64 input is kept as is, any other is copied once here,
     so the kernels reshape them into views instead of copying per call.
-    ``labels``, when given, must hold finite integer values, and ``spacing``
-    must be three finite, positive numbers.
+    Each feature vector must be unit-norm or zero (see
+    :func:`~embreg.matching.check_unit_or_zero`). ``labels``, when given,
+    must hold finite integer values, and ``spacing`` must be three finite,
+    positive numbers.
     """
 
     features: np.ndarray
@@ -42,6 +45,7 @@ class Bundle:
             raise ShapeMismatch("non-finite features or intensity")
         if _bad_spacing(self.spacing):
             raise ShapeMismatch(f"spacing must be three finite, positive numbers, got {self.spacing!r}")
+        check_unit_or_zero(f)
         self.features = f
         self.intensity = i
 

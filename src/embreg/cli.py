@@ -19,7 +19,7 @@ from .coarse import STRIDE, optimize_coarse, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import open_atomic, read_vol1, write_vol1
 from .errors import CorruptContainer, NumericalDivergence, RegistrationError, ShapeMismatch
-from .matching import load_matches, save_matches, select_points
+from .matching import check_unit_or_zero, load_matches, save_matches, select_points
 from .metrics import dice  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .pipeline import evaluate, instance_stage, match_stage, run_pipeline
 from .synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
@@ -108,6 +108,8 @@ def cmd_match(args) -> int:
     config = _config_from_args(args)
     feats_m = read_vol1(args.moving_features).values
     feats_f = read_vol1(args.fixed_features).values
+    check_unit_or_zero(feats_m, f"{args.moving_features}: ")
+    check_unit_or_zero(feats_f, f"{args.fixed_features}: ")
     matches = match_stage(config, feats_m, feats_f)
     save_matches(matches, args.out)
     print(f"{len(matches)} matches -> {args.out}")

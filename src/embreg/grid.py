@@ -117,16 +117,13 @@ class Stencil:
         strides = np.array([self.dims[1] * self.dims[2], self.dims[2], 1], dtype=np.int32)
         corner_offsets = _CORNERS @ np.where(grid[:, 0] > 1, strides, 0)
         n = frac.shape[1]
-        index = np.empty((n, 8), dtype=np.int32)
-        np.add((strides @ base)[:, None], corner_offsets, out=index)
+        index = (strides @ base)[:, None] + corner_offsets
         self.axis_weights = np.empty((3, 2, n))  # (axis, low/high, n)
         np.subtract(1.0, frac, out=self.axis_weights[:, 0])
         self.axis_weights[:, 1] = frac
         del axes, clamped, base, frac  # freed before the weights are allocated
-        wz, wy, wx = self.axis_weights
-        weights = np.empty((n, 8))
-        by_corner = weights.reshape(n, 2, 2, 2).transpose(1, 2, 3, 0)  # (dz, dy, dx, n) view
-        np.multiply(wz[:, None, None] * wy[None, :, None], wx[None, None, :], out=by_corner)
+        # Corner (dz, dy, dx) weighs (wz[dz] * wy[dy]) * wx[dx].
+        weights = np.einsum("zn,yn,xn->nzyx", *self.axis_weights).reshape(n, 8)
         indptr = np.arange(0, 8 * n + 1, 8, dtype=np.int32)
         self.matrix = sparse.csr_matrix(
             (weights.ravel(), index.ravel(), indptr), shape=(n, math.prod(self.dims))

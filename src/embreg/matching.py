@@ -4,6 +4,11 @@ The matcher pairs voxels of two unit-norm feature maps by dot-product
 (cosine) similarity. Stable sampling iterates forward/backward
 nearest-feature searches so that surviving pairs are cycle consistent,
 then a similarity threshold removes low-confidence pairs.
+
+Each feature vector must be unit-norm or zero (masked), for the threshold
+here and for the instance loss's mask alike. :func:`check_unit_or_zero`
+checks this where feature maps enter: in :class:`~embreg.bundle.Bundle`
+and in ``embreg match``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,26 @@ from .container import open_atomic
 from .errors import DimensionMismatch, InvalidStep, ShapeMismatch
 
 EPSILON = 0.7  # the pipeline keeps pairs whose cosine similarity is above this
+
+# A unit feature vector's norm may be this far from 1; an f32 round trip
+# moves it by at most float32's unit roundoff, 6e-8.
+UNIT_NORM_TOL = 1e-6
+
+
+def check_unit_or_zero(features, where: str = "") -> None:
+    """Raise :class:`ShapeMismatch` unless every channels-last vector has norm 0 or 1.
+
+    A norm within :data:`UNIT_NORM_TOL` of 1 counts as 1; a non-finite one
+    fails. ``where`` prefixes the message.
+    """
+    f = np.asarray(features)
+    norms = np.sqrt(np.einsum("...c,...c->...", f, f))
+    bad = norms.size - np.count_nonzero((norms == 0.0) | (np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+    if bad:
+        raise ShapeMismatch(
+            f"{where}feature vectors must be zero or unit-norm (within {UNIT_NORM_TOL:g}): "
+            f"{bad} of {norms.size} are not"
+        )
 
 
 @dataclass(frozen=True)

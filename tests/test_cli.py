@@ -587,6 +587,26 @@ def test_affine_malformed_matches_exits_3(tmp_path, content, capsys):
     assert not (tmp_path / "affine.json").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["1 1 1 1 1 1 0.9"] * 4 + ["1 1 1 1 1 1 nan"], "non-finite similarity score"),
+        # moving points span all three axes, the fixed ones lie in the plane z = 5
+        (
+            [f"{z} {y} {x} 5 {y} {x} 0.9" for z, y, x in np.ndindex(2, 2, 2)],
+            "fitted linear block singular",
+        ),
+    ],
+)
+def test_affine_from_unusable_matches_exits_3(tmp_path, lines, message, capsys):
+    matches = tmp_path / "matches.txt"
+    matches.write_text("\n".join(lines) + "\n")
+    rc = main(["affine", "--matches", str(matches), "--out", str(tmp_path / "affine.json")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "affine.json").exists()
+
+
 @pytest.mark.parametrize("option", [["--set", "match_step=2"], ["--config", "run.cfg"]])
 def test_affine_takes_no_settings(tmp_path, option):
     matches = tmp_path / "matches.txt"
@@ -839,14 +859,36 @@ def test_fixed_volume_that_does_not_fit_the_pair_exits_3(
     fixed = tmp_path / "fixed"
     shutil.copytree(synth_pair / "fixed", fixed)
     vol = read_vol1(fixed / name)
-    # 16 feature channels against the moving map's 8; a scalar volume one plane short
-    values = np.concatenate([vol.values] * 2, axis=-1) if name == "features.vol1" else vol.values[1:]
+    # 16 unit feature channels against the moving map's 8; a scalar volume one plane short
+    if name == "features.vol1":
+        values = np.concatenate([vol.values] * 2, axis=-1) / np.sqrt(2.0)
+    else:
+        values = vol.values[1:]
     write_vol1(fixed / name, values, dtype=vol.dtype)
     out = tmp_path / "out"
     dirs = ["--moving-dir", str(synth_pair / "moving"), "--fixed-dir", str(fixed)]
     rc = main([command, *dirs, "--out", str(out)])
     assert rc == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [0.3, 2.0])
+@pytest.mark.parametrize("command", ["match", "register", "instance"])
+def test_features_neither_unit_nor_zero_exit_3(synth_pair, tmp_path, command, scale, capsys):
+    fixed = tmp_path / "fixed"
+    shutil.copytree(synth_pair / "fixed", fixed)
+    vol = read_vol1(fixed / "features.vol1")
+    write_vol1(fixed / "features.vol1", vol.values * scale, dtype=vol.dtype)
+    if command == "match":
+        inputs = ["--moving-features", str(synth_pair / "moving/features.vol1"),
+                  "--fixed-features", str(fixed / "features.vol1")]
+    else:
+        inputs = ["--moving-dir", str(synth_pair / "moving"), "--fixed-dir", str(fixed)]
+    out = tmp_path / "out"
+    rc = main([command, *inputs, "--out", str(out)])
+    assert rc == 3
+    assert "feature vectors must be zero or unit-norm (within 1e-06)" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,24 @@ def test_stencil_sample_is_the_in_order_corner_sum(case, channels):
     for k in range(8):  # corners in (dz, dy, dx) order, summed from zero
         want += weights[:, k, None] * field[corners[:, k, 0], corners[:, k, 1], corners[:, k, 2]]
     assert Stencil(pts, dims).sample(field).tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil_cases())
+def test_stencil_weights_are_the_in_order_products_of_the_axis_weights(case):
+    dims, _, pts, _ = case
+    stencil = Stencil(pts, dims)
+    size = np.array(dims)
+    clamped = np.clip(pts, 0.0, size - 1.0)
+    base = np.minimum(np.floor(clamped), np.maximum(size - 2, 0))
+    frac = clamped - base
+    wz, wy, wx = stencil.axis_weights
+    assert stencil.axis_weights.tobytes() == np.stack([1.0 - frac.T, frac.T], axis=1).tobytes()
+    for k, (dz, dy, dx) in enumerate(itertools.product((0, 1), repeat=3)):
+        assert stencil.weights[:, k].tobytes() == ((wz[dz] * wy[dy]) * wx[dx]).tobytes()
+        corner = np.minimum(base.astype(int) + [dz, dy, dx], size - 1)
+        assert np.array_equal(stencil.index[:, k], np.ravel_multi_index(corner.T, dims))
+    assert stencil.index.dtype == np.int32
 
 
 def test_stencil_rejects_field_on_another_grid():

@@ -7,7 +7,9 @@ from embreg import matching
 from embreg.errors import DimensionMismatch, InvalidStep, ShapeMismatch
 from embreg.grid import normalize_features
 from embreg.matching import (
+    UNIT_NORM_TOL,
     MatchSet,
+    check_unit_or_zero,
     filter_matches,
     find_points,
     load_matches,
@@ -333,3 +335,16 @@ def test_sscc_searches_each_voxel_once_per_direction(monkeypatch, case):
     np.testing.assert_array_equal(ms.moving, moving)
     np.testing.assert_array_equal(ms.fixed, fixed)
     np.testing.assert_array_equal(ms.scores, scores)
+
+
+def test_unit_or_zero_allows_f32_rounding_and_rejects_the_rest():
+    unit = normalize_features(np.random.default_rng(0).normal(size=(6, 6, 6, 16)))
+    unit[0] = 0.0
+    check_unit_or_zero(unit.astype(np.float32).astype(np.float64))
+    near = np.zeros((2, 1, 1, 3))
+    near[:, ..., 0] = 1.0 + 0.5 * UNIT_NORM_TOL
+    check_unit_or_zero(near)
+    for bad in (1.0 + 2 * UNIT_NORM_TOL, 0.5, np.nan):
+        near[0, ..., 0] = bad
+        with pytest.raises(ShapeMismatch, match="^where: feature vectors must be zero or unit-norm.*1 of 2"):
+            check_unit_or_zero(near, "where: ")

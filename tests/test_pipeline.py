@@ -136,18 +136,21 @@ def test_landmark_error_is_measured_in_the_moving_spacing():
     ],
 )
 def test_bundle_rejects_non_finite_inputs(part):
-    features = np.ones((4, 4, 4, 2))
+    features = np.full((4, 4, 4, 2), np.sqrt(0.5))  # unit vectors
     intensity = np.ones((4, 4, 4))
     labels = np.zeros((4, 4, 4))
     spacing = (1.0, 1.0, 1.0)
+    Bundle(features=features, intensity=intensity, labels=labels)
     if part in ("features", "intensity"):
         {"features": features, "intensity": intensity}[part][1, 2, 3] = np.nan
+        rule = "non-finite"
     elif part in ("nan labels", "fractional labels"):
         labels[1, 2, 3] = np.nan if part == "nan labels" else 1.5
+        rule = "labels"
     else:
         spacing = part
-    Bundle(features=np.ones((4, 4, 4, 2)), intensity=np.ones((4, 4, 4)), labels=np.zeros((4, 4, 4)))
-    with pytest.raises(ShapeMismatch):
+        rule = "spacing"
+    with pytest.raises(ShapeMismatch, match=rule):
         Bundle(features=features, intensity=intensity, labels=labels, spacing=spacing)
 
 
@@ -156,9 +159,24 @@ def test_bundle_rejects_zero_channel_features():
         Bundle(features=np.zeros((4, 4, 4, 0)), intensity=np.ones((4, 4, 4)))
 
 
+def test_bundle_rejects_features_without_a_channel_axis():
+    with pytest.raises(ShapeMismatch, match=r"features must be \(D,H,W,C\)"):
+        Bundle(features=np.ones((4, 4, 4)), intensity=np.ones((4, 4, 4)))
+
+
+@pytest.mark.parametrize("scale", [0.3, 2.0])
+def test_bundle_rejects_features_neither_unit_nor_zero(scale):
+    features = np.zeros((4, 4, 4, 2))
+    features[1:, ..., 0] = 1.0  # unit vectors, with a masked (zero) plane
+    Bundle(features=features, intensity=np.ones((4, 4, 4)))
+    with pytest.raises(ShapeMismatch, match=r"zero or unit-norm .*: 48 of 64 are not"):
+        Bundle(features=features * scale, intensity=np.ones((4, 4, 4)))
+
+
 def test_bundle_keeps_contiguous_inputs_and_copies_strided_ones():
     rng = np.random.default_rng(3)
     features = rng.normal(size=(4, 5, 6, 3))
+    features /= np.linalg.norm(features, axis=-1, keepdims=True)
     intensity = rng.normal(size=(4, 5, 6))
     kept = Bundle(features=features, intensity=intensity)
     assert kept.features is features and kept.intensity is intensity
