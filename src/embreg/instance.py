@@ -16,6 +16,7 @@ from .descent import PROGRESS, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
 from .grid import Stencil, check_vector_field, identity_grid, normalize_rows, row_blocks
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
+from .matching import check_unit_or_zero
 from .metrics import lncc_fixed, lncc_gradient, ncc_gradient
 from .transform import integrate_svf, integrate_svf_with_tape, svf_backward
 
@@ -155,8 +156,11 @@ def optimize_instance(feats_m, feats_f, img_m, img_f, config: PipelineConfig) ->
     descent does not see the objective's scale, so ``lambda_reg`` alone sets
     the trade-off. ``instance_iterations`` is a cap, and the descent stops
     earlier once an iteration gains less than
-    :data:`~embreg.descent.PROGRESS` of the decrease so far.
+    :data:`~embreg.descent.PROGRESS` of the decrease so far. Both feature
+    maps must pass :func:`~embreg.matching.check_unit_or_zero`.
     """
+    check_unit_or_zero(feats_m, "moving features: ")
+    check_unit_or_zero(feats_f, "fixed features: ")
     fixed = _fixed_side(feats_f, img_f, config)
     last = {}  # the field and displacement of the latest evaluation
 

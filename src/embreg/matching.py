@@ -7,8 +7,9 @@ then a similarity threshold removes low-confidence pairs.
 
 Each feature vector must be unit-norm or zero (masked), for the threshold
 here and for the instance loss's mask alike. :func:`check_unit_or_zero`
-checks this where feature maps enter: in :class:`~embreg.bundle.Bundle`
-and in ``embreg match``.
+checks this where it is assumed: in :func:`sscc` and
+:func:`~embreg.instance.optimize_instance`, and where feature maps enter,
+in :class:`~embreg.bundle.Bundle`.
 """
 
 from __future__ import annotations
@@ -169,8 +170,11 @@ def sscc(feat_moving, feat_fixed, step: int, iterations: int) -> MatchSet:
     match depends on the key alone, so each voxel is searched at most once
     per direction and later rounds read its match from a per-direction
     lookup. Duplicate ``(moving, fixed)`` pairs are collapsed to one,
-    keeping first-occurrence order.
+    keeping first-occurrence order. Both maps must pass
+    :func:`check_unit_or_zero`.
     """
+    check_unit_or_zero(feat_moving, "moving features: ")
+    check_unit_or_zero(feat_fixed, "fixed features: ")
     if int(iterations) < 1:
         raise InvalidStep(f"iterations must be >= 1, got {iterations}")
     fm = np.asarray(feat_moving, dtype=np.float64)

@@ -12,7 +12,11 @@ from .errors import ShapeMismatch
 from .grid import Stencil, check_vector_field, identity_grid, trilinear_sample
 from .grid import trilinear_corners, trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps these names here)
 
-SVF_STEPS = 7  # scaling-and-squaring steps of every velocity field the pipeline integrates
+# Scaling-and-squaring steps of every velocity field the pipeline integrates.
+# The first step moves at most |v|max / 16 voxels, under half a voxel for
+# velocities below 8 voxels (instance velocities peak at 1.0-2.6, synthetic
+# warps at 2). Against a fine RK4 flow, 7 steps gain ~0.001 voxel of mean error.
+SVF_STEPS = 4
 
 
 @dataclass(frozen=True)

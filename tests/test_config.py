@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -142,6 +143,16 @@ def test_config_is_frozen_so_assignment_cannot_skip_the_checks():
 def test_removed_keys_are_not_fields(key):
     with pytest.raises(TypeError):
         PipelineConfig(**{key: 2.0})
+
+
+def test_readme_states_the_constants_that_replace_keys():
+    # Every "`embreg.<module>.<NAME>` (<number>" in the README, wrapped lines included.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    mentions = re.findall(r"`embreg\.(\w+)\.([A-Z][A-Z0-9_]*)`\s+\(([0-9][0-9.e+-]*)", text)
+    names = {name for _, name, _ in mentions}
+    assert names >= {"EPSILON", "STRIDE", "SVF_STEPS", "LNCC_WINDOW", "TOL", "ITERATIONS", "PROGRESS"}
+    for module, name, number in mentions:
+        assert getattr(importlib.import_module(f"embreg.{module}"), name) == float(number), name
 
 
 def test_config_fields_are_pinned():

@@ -297,3 +297,13 @@ def test_intensity_term_requires_images():
     config = PipelineConfig(intensity_term="ncc")
     with pytest.raises(ShapeMismatch):
         instance_objective(np.zeros((4, 4, 4, 3)), feats, feats, None, None, config)
+
+
+@pytest.mark.parametrize("side", ["moving", "fixed"])
+@pytest.mark.parametrize("scale", [2.0, 0.3])
+def test_optimize_rejects_features_neither_unit_nor_zero(side, scale):
+    rng = np.random.default_rng(8)
+    maps = {"moving": random_features(rng, (4, 4, 4), 4), "fixed": random_features(rng, (4, 4, 4), 4)}
+    maps[side] = maps[side] * scale
+    with pytest.raises(ShapeMismatch, match=f"^{side} features: feature vectors must be zero or unit-norm"):
+        optimize_instance(maps["moving"], maps["fixed"], None, None, PipelineConfig(instance_iterations=2))

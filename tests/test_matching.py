@@ -348,3 +348,12 @@ def test_unit_or_zero_allows_f32_rounding_and_rejects_the_rest():
         near[0, ..., 0] = bad
         with pytest.raises(ShapeMismatch, match="^where: feature vectors must be zero or unit-norm.*1 of 2"):
             check_unit_or_zero(near, "where: ")
+
+
+@pytest.mark.parametrize("side", ["moving", "fixed"])
+@pytest.mark.parametrize("scale", [2.0, 0.3])
+def test_sscc_rejects_features_neither_unit_nor_zero(side, scale):
+    maps = {"moving": distinct_features((4, 4, 4), 4, 0), "fixed": distinct_features((4, 4, 4), 4, 1)}
+    maps[side] = maps[side] * scale
+    with pytest.raises(ShapeMismatch, match=f"^{side} features: feature vectors must be zero or unit-norm"):
+        sscc(maps["moving"], maps["fixed"], step=2, iterations=3)
