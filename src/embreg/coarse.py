@@ -1,9 +1,9 @@
-"""Coarse displacement stage: pull affinely pre-aligned matches together.
+"""Coarse displacement stage: pull the affinely aligned matches together.
 
-A strided lattice of 3-vector displacements is optimized so that
-``y + u(y)`` with ``y = A^-1 x_f`` lands on ``x_m`` for every filtered
-match, balanced against a forward-difference gradient-smoothness
-penalty on the lattice.
+A strided lattice of 3-vector displacements ``u`` in fixed-grid voxels is
+optimized so that ``x_f + u(x_f)`` lands on ``A x_m`` for every filtered
+match, balanced against a forward-difference smoothness penalty. That is
+the frame :func:`~embreg.transform.compose` applies ``u`` in: ``A^-1 (x + u(x))``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .affine import AffineTransform, apply_affine, invert_affine
+from .affine import AffineTransform, apply_affine
 from .config import PipelineConfig
 from .descent import descend, smoothness
 from .errors import EmptyMatchSet, ShapeMismatch
@@ -29,33 +29,32 @@ def lattice_dims(grid_dims) -> tuple[int, int, int]:
 
 
 def _match_targets(matches: MatchSet, affine: AffineTransform, lattice_shape):
-    """Stencil of the pre-aligned fixed points ``y`` on the lattice, ``y``, and the moving targets."""
+    """Stencil of the fixed points on the lattice, and the displacements ``A x_m - x_f`` to fit."""
     if len(matches) == 0:
         raise EmptyMatchSet("coarse stage received no matches")
-    inv = invert_affine(affine)
-    y = apply_affine(inv, matches.fixed.astype(np.float64))
-    return Stencil(y / STRIDE, lattice_shape[:3]), y, matches.moving.astype(np.float64)
+    xf = matches.fixed.astype(np.float64)
+    return Stencil(xf / STRIDE, lattice_shape[:3]), apply_affine(affine, matches.moving) - xf
 
 
-def _coarse_loss(lattice, stencil: Stencil, y, xm, reg_weight: float):
+def _coarse_loss(lattice, stencil: Stencil, target, reg_weight: float):
     """Coarse objective at ``lattice`` and a closure for its gradient."""
-    resid = xm - (y + stencil.sample(lattice))
+    resid = target - stencil.sample(lattice)
     with np.errstate(over="ignore"):  # an infinite objective is the descent's to report
         data = float(np.mean(np.sum(resid * resid, axis=1)))
     reg, reg_gradient = smoothness(lattice)
     value = data + float(reg_weight) * reg
 
     def gradient() -> np.ndarray:
-        return stencil.adjoint((-2.0 / len(y)) * resid) + float(reg_weight) * reg_gradient()
+        return stencil.adjoint((-2.0 / len(target)) * resid) + float(reg_weight) * reg_gradient()
 
     return value, gradient
 
 
 def coarse_objective(lattice, matches: MatchSet, affine: AffineTransform, reg_weight: float) -> float:
-    """Mean squared residual of matched points plus the smoothness penalty.
+    """Mean squared residual ``|A x_m - (x_f + u(x_f))|^2`` of the matches plus the smoothness penalty.
 
-    ``lattice`` has one node every :data:`STRIDE` voxels, as
-    :func:`optimize_coarse` returns it.
+    ``lattice`` holds ``u`` in fixed-grid voxels, one node every
+    :data:`STRIDE` voxels, as :func:`optimize_coarse` returns it.
     """
     lat = check_vector_field(lattice, "lattice")
     return _coarse_loss(lat, *_match_targets(matches, affine, lat.shape), reg_weight)[0]
@@ -73,14 +72,17 @@ def optimize_coarse(
     """Quasi-Newton descent (:func:`~embreg.descent.descend`) from the zero lattice.
 
     Returns the ``(ceil(D/4), ceil(H/4), ceil(W/4), 3)`` lattice, one node
-    every :data:`STRIDE` voxels, in voxel units. Reads
-    ``coarse_reg_weight`` from ``config``; the descent runs to
-    :data:`~embreg.descent.TOL`, capped at :data:`ITERATIONS`. The matches
-    are in image-grid voxels.
+    every :data:`STRIDE` voxels, in fixed-grid voxels, so that ``A^-1 (x_f +
+    u(x_f))`` approximates ``x_m``. Reads ``coarse_reg_weight`` from
+    ``config``; the descent runs to :data:`~embreg.descent.TOL`, capped at
+    :data:`ITERATIONS`. A fixed match point outside ``grid_dims`` raises
+    :class:`~embreg.errors.ShapeMismatch`.
     """
     start = np.zeros(lattice_dims(grid_dims) + (3,))
     # The match points do not move during the descent, so one stencil serves every step.
     targets = _match_targets(matches, affine, start.shape)
+    if np.any((matches.fixed < 0) | (matches.fixed >= np.asarray(grid_dims))):
+        raise ShapeMismatch(f"a fixed match point lies outside the grid {tuple(grid_dims)}")
     return descend(
         lambda lat: _coarse_loss(lat, *targets, config.coarse_reg_weight),
         start,

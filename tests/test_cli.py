@@ -795,6 +795,18 @@ def test_coarse_on_a_grid_with_an_empty_axis_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_coarse_with_a_fixed_match_point_off_the_grid_exits_3(synth_pair, tmp_path, capsys):
+    matches = tmp_path / "matches.txt"
+    matches.write_text("1 1 1 9223372036854775807 1 1 0.9\n")
+    (tmp_path / "affine.json").write_text(AffineTransform.identity().to_json())
+    out = tmp_path / "coarse.vol1"
+    rc = main(["coarse", "--matches", str(matches), "--affine", str(tmp_path / "affine.json"),
+               "--fixed-features", str(synth_pair / "fixed/features.vol1"), "--out", str(out)])
+    assert rc == 3
+    assert "a fixed match point lies outside the grid (14, 14, 14)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_register_a_moving_bundle_on_another_grid(tmp_path):
     from embreg.cli import _write_bundle
     from embreg.config import PipelineConfig
@@ -929,22 +941,31 @@ def test_coarse_whose_objective_overflows_exits_4(synth_pair, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["coarse", "instance"])
-def test_affine_whose_determinant_overflows_exits_3(synth_pair, tmp_path, command, capsys):
-    # det(1e300 I) overflows to inf, which is not singular; the inverse's det underflows to 0.
+def overflowing_affine(tmp_path):
+    """``1e300 I``: its determinant overflows to inf, which is not singular; its inverse's underflows to 0."""
     affine = AffineTransform.from_linear_translation(1e300 * np.eye(3), np.zeros(3))
     (tmp_path / "affine.json").write_text(affine.to_json())
-    (tmp_path / "matches.txt").write_text("1 1 1 1 1 1 0.9\n")
+    return str(tmp_path / "affine.json")
+
+
+def test_affine_whose_determinant_overflows_exits_3(synth_pair, tmp_path, capsys):
     out = tmp_path / "out.vol1"
-    inputs = {
-        "coarse": ["--matches", str(tmp_path / "matches.txt"),
-                   "--fixed-features", str(synth_pair / "fixed/features.vol1")],
-        "instance": ["--moving-dir", str(synth_pair / "moving"),
-                     "--fixed-dir", str(synth_pair / "fixed")],
-    }[command]
-    rc = main([command, *inputs, "--affine", str(tmp_path / "affine.json"), "--out", str(out)])
+    dirs = ["--moving-dir", str(synth_pair / "moving"), "--fixed-dir", str(synth_pair / "fixed")]
+    rc = main(["instance", *dirs, "--affine", overflowing_affine(tmp_path), "--out", str(out)])
     assert rc == 3
     assert "affine linear block is singular" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coarse_with_an_affine_whose_determinant_overflows_exits_4(synth_pair, tmp_path, capsys):
+    # The coarse fit maps the moving points forward, A x_m, and never inverts A.
+    (tmp_path / "matches.txt").write_text("1 1 1 1 1 1 0.9\n")
+    out = tmp_path / "out.vol1"
+    argv = ["coarse", "--matches", str(tmp_path / "matches.txt"),
+            "--fixed-features", str(synth_pair / "fixed/features.vol1")]
+    rc = main([*argv, "--affine", overflowing_affine(tmp_path), "--out", str(out)])
+    assert rc == 4
+    assert "initial objective not finite" in capsys.readouterr().err
     assert not out.exists()
 
 
