@@ -136,19 +136,14 @@ def cmd_instance(args) -> int:
     config = _config_from_args(args)
     moving = _load_bundle(Path(args.moving_dir))
     fixed = _load_bundle(Path(args.fixed_dir))
-    affine = (
-        AffineTransform.from_json(Path(args.affine).read_bytes())
-        if args.affine
-        else AffineTransform.identity()
-    )
+    affine = AffineTransform.from_json(Path(args.affine).read_bytes()) if args.affine else None
     coarse_dense = None
     if args.coarse:
         vol = read_vol1(args.coarse)
         if vol.attrs.get("stride") != str(STRIDE):
             raise CorruptContainer(f"{args.coarse}: lattice needs the attribute stride={STRIDE}")
         coarse_dense = upsample_coarse(vol.values, fixed.dims)
-    dense, _ = instance_stage(config, moving, fixed, affine, coarse_dense)
-    write_vol1(args.out, dense)
+    write_vol1(args.out, instance_stage(config, moving, fixed, affine, coarse_dense))
     print(f"instance field -> {args.out}")
     return 0
 
@@ -162,9 +157,8 @@ def cmd_register(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "affine.json", transform.affine.to_json())
-    write_vol1(out / "coarse_dense.vol1", transform.coarse)
     write_vol1(out / "dense.vol1", transform.dense)
-    manifest = {"affine": "affine.json", "coarse": "coarse_dense.vol1", "dense": "dense.vol1"}
+    manifest = {"affine": "affine.json", "dense": "dense.vol1"}
     _write_text(out / "transform.json", json.dumps(manifest, indent=2))
     _write_text(out / "report.json", report.to_json())
     print(report.format_table())

@@ -1,16 +1,17 @@
-"""Per-pair instance optimization of a dense displacement or velocity field.
+"""Per-pair instance optimization of a dense displacement or velocity field behind the affine.
 
 Minimizes one minus mean feature similarity, plus an optional intensity
 dissimilarity (NCC or LNCC), plus ``lambda_reg`` times a gradient-smoothness
 penalty on the optimized field. Gradients are analytic through the whole
-chain: trilinear sampling, per-voxel feature re-normalization, the
-correlation terms, and (in velocity mode) scaling-and-squaring.
+chain: trilinear sampling, the affine, per-voxel feature re-normalization,
+the correlation terms, and (in velocity mode) scaling-and-squaring.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .affine import AffineTransform, apply_affine, invert_affine
 from .config import PipelineConfig
 from .descent import PROGRESS, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
@@ -54,45 +55,49 @@ def reg_loss(field) -> float:
     return smoothness(check_vector_field(field, "field"))[0]
 
 
-def instance_objective(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> float:
-    """Similarity losses on the warp plus ``lambda_reg`` times smoothness on the field."""
-    field = np.asarray(field, dtype=np.float64)
-    return _loss(field, feats_m, img_m, *_fixed_side(feats_f, img_f, config), config)[0]
+def instance_objective(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig, affine=None) -> float:
+    """Similarity losses through ``affine`` plus ``lambda_reg`` times smoothness on the field."""
+    return _loss(field, feats_m, img_m, *_constants(affine, feats_f, img_f, config), config)[0]
 
 
-def instance_gradient(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> np.ndarray:
+def instance_gradient(
+    field, feats_m, feats_f, img_m, img_f, config: PipelineConfig, affine=None
+) -> np.ndarray:
     """Analytic gradient of :func:`instance_objective` w.r.t. the field."""
-    field = np.asarray(field, dtype=np.float64)
-    return _loss(field, feats_m, img_m, *_fixed_side(feats_f, img_f, config), config)[1]()
+    return _loss(field, feats_m, img_m, *_constants(affine, feats_f, img_f, config), config)[1]()
 
 
-def _fixed_side(feats_f, img_f, config):
-    """The fixed features as float64, their :func:`_unmasked` mask and the fixed image.
+def _constants(affine, feats_f, img_f, config):
+    """A descent's constants: ``A^-1``, the fixed features, their mask and the fixed image.
 
-    These are constant over a descent. Under LNCC the image comes with its
-    window sums (:func:`~embreg.metrics.lncc_fixed`), computed here once.
+    ``affine=None`` is the identity; the mask is :func:`_unmasked`'s. Under LNCC the image
+    comes with its window sums (:func:`~embreg.metrics.lncc_fixed`), computed here once.
     """
     f = np.asarray(feats_f, dtype=np.float64)
     if config.intensity_term == "lncc" and img_f is not None:
         img_f = lncc_fixed(img_f)
-    return f, _unmasked(f), img_f
+    inverse = AffineTransform.identity() if affine is None else invert_affine(affine)
+    return inverse, f, _unmasked(f), img_f
 
 
-def _loss(field, feats_m, img_m, feats_f, fixed_unmasked, img_f, config):
+def _loss(field, feats_m, img_m, inverse, feats_f, fixed_unmasked, img_f, config):
     """Instance objective at ``field``, a one-shot closure for its gradient, and the displacement.
 
-    The closure reuses this forward pass (SVF tape, sampled features and the
-    stencil of the warped grid, whose derivatives only the closure computes);
-    the intensity correlation's gradient comes with its value. ``feats_f``,
-    ``fixed_unmasked`` and ``img_f`` come from :func:`_fixed_side`. The
-    displacement is ``field`` itself, or in velocity mode its integral. At a
-    zero velocity (the descent's start) both SVF passes return their input.
+    The displacement ``u`` is ``field`` itself, or in velocity mode its
+    integral. One stencil samples the moving bundle at ``inverse`` of ``x +
+    u(x)``, the points of the final map; its cotangents reach ``u`` through
+    ``inverse.linear``. The closure reuses this forward pass (SVF tape,
+    sampled features and the stencil, whose derivatives only the closure
+    computes); the intensity correlation's gradient comes with its value.
+    ``inverse`` to ``img_f`` come from :func:`_constants`.
     """
-    if config.parameterization == "svf" and field.any():
+    field = np.asarray(field, dtype=np.float64)
+    if config.parameterization == "svf":
         displacement, tape = integrate_svf_with_tape(field)
     else:
         displacement, tape = field, None
-    stencil = Stencil(identity_grid(field.shape[:3]) + displacement, np.shape(feats_m)[:3])
+    points = apply_affine(inverse, identity_grid(field.shape[:3]) + displacement)
+    stencil = Stencil(points, np.shape(feats_m)[:3])
     # Sampled, then normalized in place one row block at a time.
     warped = stencil.sample(feats_m)
     warped_rows = warped.reshape(-1, warped.shape[-1])
@@ -127,24 +132,29 @@ def _loss(field, feats_m, img_m, feats_f, fixed_unmasked, img_f, config):
             w = warped_rows[block]
             g -= np.einsum("nc,nc->n", g, w)[:, None] * w
             np.divide(g, safe[block], out=w)
-        g_disp = stencil.vjp(feats_m, warped_rows)
+        g_points = stencil.vjp(feats_m, warped_rows)
         # Free the cotangent and the loop's last block before the intensity
         # term's product, and the stencil before the SVF adjoint builds its own.
         warped_rows = w = g = None
         if config.intensity_term != "none":
-            g_disp += stencil.vjp(img_m, -g_img)
+            g_points += stencil.vjp(img_m, -g_img)
         stencil = None
+        g_disp = g_points @ inverse.linear
         g_field = svf_backward(g_disp, tape) if tape is not None else g_disp
         return g_field + config.lambda_reg * reg_gradient()
 
     return value, gradient, displacement
 
 
-def optimize_instance(feats_m, feats_f, img_m, img_f, config: PipelineConfig) -> np.ndarray:
+def optimize_instance(
+    feats_m, feats_f, img_m, img_f, config: PipelineConfig, affine=None, start=None
+) -> np.ndarray:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`); returns the final displacement.
 
-    The descent starts from the zero field on the fixed grid, which
-    :func:`_loss` takes as its own displacement. In velocity mode the
+    The field ``u`` lies on the fixed grid behind ``affine`` (the identity by
+    default): the moving bundle is sampled at ``A^-1 (x + u(x))`` only. The
+    descent starts from ``start`` (the zero field by default), and the
+    smoothness term covers the whole field. In velocity mode the
     returned field is the displacement integrated with
     :data:`~embreg.transform.SVF_STEPS` squarings: the one the descent's
     last evaluation integrated when that was the returned velocity (every
@@ -161,22 +171,19 @@ def optimize_instance(feats_m, feats_f, img_m, img_f, config: PipelineConfig) ->
     """
     check_unit_or_zero(feats_m, "moving features: ")
     check_unit_or_zero(feats_f, "fixed features: ")
-    fixed = _fixed_side(feats_f, img_f, config)
+    constants = _constants(affine, feats_f, img_f, config)
     last = {}  # the field and displacement of the latest evaluation
 
     def evaluate(field):
         # Drop the previous trial's displacement before this one is integrated.
         last.clear()
-        value, gradient, last["displacement"] = _loss(field, feats_m, img_m, *fixed, config)
+        value, gradient, last["displacement"] = _loss(field, feats_m, img_m, *constants, config)
         last["field"] = field
         return value, gradient
 
-    field = descend(
-        evaluate,
-        np.zeros(np.shape(feats_f)[:3] + (3,)),
-        config.instance_iterations,
-        progress=PROGRESS,
-    )
+    if start is None:
+        start = np.zeros(np.shape(feats_f)[:3] + (3,))
+    field = descend(evaluate, start, config.instance_iterations, progress=PROGRESS)
     if last["field"] is field:
         return last["displacement"]
     return integrate_svf(field) if config.parameterization == "svf" else field

@@ -12,7 +12,7 @@ from .bundle import Bundle
 from .coarse import optimize_coarse, upsample_coarse
 from .config import PipelineConfig
 from .errors import RegistrationError
-from .grid import trilinear_sample, warp_features, warp_labels, warp_scalar
+from .grid import trilinear_sample, warp_labels
 from .instance import optimize_instance
 from .matching import EPSILON, MatchSet, filter_matches, sscc
 from .metrics import RegistrationReport, check_labels, dice, landmark_error
@@ -39,17 +39,11 @@ def match_stage(config: PipelineConfig, feats_moving, feats_fixed) -> MatchSet:
 
 
 def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine, coarse_dense):
-    """Fit the instance field after the affine and coarse stages; returns ``(dense, pre_map)``."""
-    dims = fixed.dims
-    pre_map = compose(CompositeTransform(affine=affine, coarse=coarse_dense), dims)
-    dense = optimize_instance(
-        warp_features(moving.features, pre_map),
-        fixed.features,
-        warp_scalar(moving.intensity, pre_map),
-        fixed.intensity,
-        config,
+    """Refine ``coarse_dense`` (``None``: zero) into the one dense field behind ``affine``."""
+    return optimize_instance(
+        moving.features, fixed.features, moving.intensity, fixed.intensity, config,
+        affine=affine, start=coarse_dense,
     )
-    return dense, pre_map
 
 
 def evaluate(final_map, moving_labels, fixed_labels, spacing, landmarks=None) -> RegistrationReport:
@@ -91,11 +85,11 @@ def run_pipeline(
     points_fixed)`` pair of index-matched ground-truth correspondences
     (image-grid voxel units) used for the landmark-error entry of the report.
 
-    Returns the composite transform, a report, and a dict of intermediate
-    artifacts: the matches, the coarse lattice, the map the instance stage
-    starts from and the final map (the transform holds the affine and the
-    upsampled coarse field). To run part of the pipeline, call the stage
-    functions themselves.
+    Returns the composite transform (the affine and the coarse field as the
+    instance stage refined it), a report, and a dict of intermediate
+    artifacts: the matches, the coarse lattice, the affine and coarse map the
+    instance stage starts from, and the final map. To run part of the
+    pipeline, call the stage functions themselves.
     """
     dims = fixed.dims
     timings: dict[str, float] = {}
@@ -106,9 +100,10 @@ def run_pipeline(
     with _stage("coarse", timings):
         lattice = optimize_coarse(matches, affine, dims, config)
         coarse_dense = upsample_coarse(lattice, dims)
+        pre_map = compose(CompositeTransform(affine=affine, dense=coarse_dense), dims)
     with _stage("instance", timings):
-        dense, pre_map = instance_stage(config, moving, fixed, affine, coarse_dense)
-    transform = CompositeTransform(affine=affine, coarse=coarse_dense, dense=dense)
+        dense = instance_stage(config, moving, fixed, affine, coarse_dense)
+    transform = CompositeTransform(affine=affine, dense=dense)
     with _stage("evaluate", timings):
         final_map = compose(transform, dims)
         report = evaluate(final_map, moving.labels, fixed.labels, moving.spacing, landmarks)

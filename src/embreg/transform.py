@@ -21,11 +21,13 @@ SVF_STEPS = 4
 
 @dataclass(frozen=True)
 class CompositeTransform:
-    """Affine, coarse, and dense stages of a fixed-to-moving map.
+    """Affine and dense stages of a fixed-to-moving map, ``A^-1 (x + dense(x))``.
 
-    ``coarse`` and ``dense`` are dense displacement fields on the fixed
-    grid (``(D, H, W, 3)``) or ``None`` for an identity stage, stored as
-    C-contiguous float64 (copied only when the input is not).
+    ``dense`` is a displacement field on the fixed grid (``(D, H, W, 3)``) or
+    ``None`` for the identity, stored as C-contiguous float64 (copied only when
+    the input is not). ``coarse``, one more such field composed under ``dense``,
+    is ``None`` unless read from a transform written before the pipeline refined
+    the coarse field in the instance stage.
     """
 
     affine: AffineTransform

@@ -143,8 +143,11 @@ def test_register_and_eval(synth_pair, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    for rel in ("affine.json", "coarse_dense.vol1", "dense.vol1", "transform.json", "report.json"):
+    for rel in ("affine.json", "dense.vol1", "transform.json", "report.json"):
         assert (out / rel).exists(), rel
+    # The instance stage refines the coarse field: one dense field behind the affine.
+    assert not (out / "coarse_dense.vol1").exists()
+    assert json.loads((out / "transform.json").read_text()) == {"affine": "affine.json", "dense": "dense.vol1"}
     report = json.loads((out / "report.json").read_text())
     assert report["mean_dice"] > 0.5
     assert "mean_dice" in capsys.readouterr().out
@@ -169,6 +172,45 @@ def test_register_and_eval(synth_pair, tmp_path, capsys):
     evaluated = json.loads(report_path.read_text())
     assert evaluated["mean_dice"] == pytest.approx(report["mean_dice"])
     assert evaluated["mean_landmark_error"] is not None
+
+
+def test_eval_reads_the_coarse_entry_of_the_earlier_layout(synth_pair, tmp_path, capsys):
+    # Directories written before the instance stage refined the coarse field
+    # hold a coarse stage under the dense one. The same map laid out that way,
+    # the registered field as the coarse stage under a zero dense stage,
+    # evaluates to the same report.
+    new = tmp_path / "reg"
+    settings = ["--set", "match_step=2", "--set", "instance_iterations=5"]
+    assert main(["register", "--moving-dir", str(synth_pair / "moving"),
+                 "--fixed-dir", str(synth_pair / "fixed"), "--out", str(new), *settings]) == 0
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "affine.json").write_bytes((new / "affine.json").read_bytes())
+    (old / "coarse_dense.vol1").write_bytes((new / "dense.vol1").read_bytes())
+    write_vol1(old / "dense.vol1", np.zeros((14, 14, 14, 3)))
+    manifest = {"affine": "affine.json", "coarse": "coarse_dense.vol1", "dense": "dense.vol1"}
+    (old / "transform.json").write_text(json.dumps(manifest))
+    reports = []
+    for directory in (new, old):
+        rc = main(
+            [
+                "eval",
+                "--transform",
+                str(directory),
+                "--moving-labels",
+                str(synth_pair / "moving/labels.vol1"),
+                "--fixed-labels",
+                str(synth_pair / "fixed/labels.vol1"),
+                "--gt-map",
+                str(synth_pair / "gt_map.vol1"),
+                "--out",
+                str(directory / "eval.json"),
+            ]
+        )
+        assert rc == 0
+        reports.append((directory / "eval.json").read_text())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["mean_landmark_error"] is not None
 
 
 def test_jacobian_command(tmp_path, capsys):
@@ -442,10 +484,11 @@ def test_register_fields_are_byte_identical_to_run_pipeline(tmp_path):
     assert rc == 0
     config = PipelineConfig(match_step=2, instance_iterations=5)
     transform, _, _ = run_pipeline(config, moving, fixed)
-    for name, field in (("coarse_dense", transform.coarse), ("dense", transform.dense)):
-        written = read_vol1(tmp_path / "reg" / f"{name}.vol1").values
-        assert written.shape == field.shape
-        assert written.tobytes() == field.tobytes(), name
+    assert transform.coarse is None
+    assert not (tmp_path / "reg" / "coarse_dense.vol1").exists()
+    written = read_vol1(tmp_path / "reg" / "dense.vol1").values
+    assert written.shape == transform.dense.shape
+    assert written.tobytes() == transform.dense.tobytes()
 
 
 def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from embreg import grid, instance
+from embreg.affine import AffineTransform
 from embreg.config import PipelineConfig
 from embreg.descent import descend
 from embreg.errors import EmptyOverlap, ShapeMismatch
@@ -24,7 +25,7 @@ def random_features(rng, dims, channels):
     return normalize_features(rng.normal(size=dims + (channels,)))
 
 
-def fd_gradient(field, args, config, indices, h=1e-5, forward=False):
+def fd_gradient(field, args, config, indices, h=1e-5, forward=False, affine=None):
     """Central differences, or forward differences with ``forward``."""
     feats_m, feats_f, img_m, img_f = args
     out = {}
@@ -35,8 +36,8 @@ def fd_gradient(field, args, config, indices, h=1e-5, forward=False):
         if not forward:
             fm[idx] -= h
         out[idx] = (
-            instance_objective(fp, feats_m, feats_f, img_m, img_f, config)
-            - instance_objective(fm, feats_m, feats_f, img_m, img_f, config)
+            instance_objective(fp, feats_m, feats_f, img_m, img_f, config, affine)
+            - instance_objective(fm, feats_m, feats_f, img_m, img_f, config, affine)
         ) / ((1 if forward else 2) * h)
     return out
 
@@ -139,10 +140,31 @@ def test_gradient_matches_finite_differences_svf():
         assert grad[idx] == pytest.approx(want, abs=2e-8)
 
 
+@pytest.mark.parametrize("parameterization", ["displacement", "svf"])
+@pytest.mark.parametrize("term", ["none", "ncc", "lncc"])
+def test_gradient_matches_finite_differences_through_a_sheared_affine(parameterization, term):
+    # The moving bundle is sampled at A^-1 (x + u(x)) on its own, larger grid,
+    # so the cotangents reach the field through the affine's linear block.
+    rng = np.random.default_rng(10)
+    dims_f, dims_m = (5, 6, 5), (7, 6, 8)
+    feats_m = random_features(rng, dims_m, 5)
+    feats_f = random_features(rng, dims_f, 5)
+    img_m, img_f = rng.normal(size=dims_m), rng.normal(size=dims_f)
+    linear = np.array([[1.1, 0.2, -0.1], [0.15, 0.9, 0.25], [-0.2, 0.1, 1.05]])
+    affine = AffineTransform.from_linear_translation(linear, [-0.6, 0.3, -0.9])
+    config = PipelineConfig(lambda_reg=0.5, intensity_term=term, parameterization=parameterization)
+    args = (feats_m, feats_f, img_m, img_f)
+    field = rng.normal(scale=0.3, size=dims_f + (3,))
+    grad = instance_gradient(field, *args, config, affine)
+    idxs = [tuple(rng.integers(0, s) for s in field.shape) for _ in range(12)]
+    for idx, want in fd_gradient(field, args, config, idxs, affine=affine).items():
+        assert grad[idx] == pytest.approx(want, rel=1e-5, abs=1e-7)
+
+
 @pytest.mark.parametrize("term", ["none", "ncc", "lncc"])
 def test_zero_velocity_start_gives_the_bytes_of_the_zero_displacement(term):
-    # The descent starts at the zero field, where a velocity is its own
-    # integral and the SVF adjoint returns the cotangent.
+    # A zero velocity integrates to zero and the SVF adjoint returns the
+    # cotangent unchanged, with no special case in the loss.
     rng = np.random.default_rng(8)
     dims = (5, 6, 4)
     feats_m, feats_f = random_features(rng, dims, 6), random_features(rng, dims, 6)

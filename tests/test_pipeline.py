@@ -3,13 +3,15 @@ import pytest
 
 from embreg.affine import AffineTransform, fit_affine
 from embreg.bundle import Bundle
+from embreg.coarse import upsample_coarse
 from embreg.config import PipelineConfig
 from embreg.errors import RegistrationError, ShapeMismatch
-from embreg.grid import identity_grid
+from embreg.grid import identity_grid, warp_features
+from embreg.instance import instance_objective, reg_loss, sam_loss
 from embreg.matching import select_points
-from embreg.pipeline import evaluate, match_stage, run_pipeline
+from embreg.pipeline import evaluate, instance_stage, match_stage, run_pipeline
 from embreg.synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
-from embreg.transform import CompositeTransform, compose
+from embreg.transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
 
 def synth_case(seed, dims=(16, 16, 16), amplitude=1.0, translation=(1.0, 0.0, -0.5)):
@@ -80,6 +82,56 @@ def test_pipeline_svf_mode_runs_without_folding():
     assert report.folding_fraction == 0.0
     initial = float(np.mean(np.linalg.norm(landmarks[0] - landmarks[1], axis=1)))
     assert report.mean_landmark_error < initial
+
+
+def test_pipeline_svf_map_of_a_pair_with_mismatched_matches_does_not_fold():
+    # The benchmark's svf-lncc-32 set-up, seed 3 pool pair 3, rebuilt here:
+    # its mismatched matches make the coarse map fold (0.97 % of voxels). The
+    # instance velocity starts from that field, and A^-1 exp(v) does not fold.
+    rng = np.random.default_rng([3, 3])
+    spec = SynthSpec(
+        dims=(32, 32, 32), channels=16, warp_amplitude=2.0, warp_smoothness=4.0,
+        seed=int(rng.integers(2**31)),
+    )
+    features, labels, intensity = make_atlas(spec)
+    velocity = random_smooth_warp(spec)
+    lin = np.eye(3) + rng.uniform(-0.08, 0.08, (3, 3))
+    affine = AffineTransform.from_linear_translation(lin, rng.uniform(-3, 3, 3))
+    moving, fixed, _ = make_pair(features, labels, intensity, velocity, affine)
+    config = PipelineConfig(
+        match_step=8, parameterization="svf", intensity_term="lncc", instance_iterations=10
+    )
+    _, report, artifacts = run_pipeline(config, moving, fixed)
+    assert folding_fraction(jacobian_determinant(artifacts["pre_map"])) > 0.005
+    assert report.folding_fraction == 0.0
+
+
+def test_svf_instance_stage_unfolds_a_folding_coarse_field():
+    # The coarse field is the start of the instance velocity, and the final
+    # map A^-1 exp(v) is diffeomorphic whatever the start folds as a displacement.
+    features, labels, intensity = make_atlas(SynthSpec(dims=(16, 16, 16), channels=8, seed=0))
+    bundle = Bundle(features=features, intensity=intensity, labels=labels)
+    coarse = np.zeros((16, 16, 16, 3))
+    coarse[..., 0] = 3.0 * np.sin(2 * np.pi * identity_grid(bundle.dims)[..., 0] / 12)
+    affine = AffineTransform.from_linear_translation(1.05 * np.eye(3), [0.5, -0.5, 0.25])
+    start = compose(CompositeTransform(affine=affine, dense=coarse), bundle.dims)
+    assert folding_fraction(jacobian_determinant(start)) > 0.1
+    config = fast_config(parameterization="svf", intensity_term="ncc", instance_iterations=3)
+    dense = instance_stage(config, bundle, bundle, affine, coarse)
+    final = compose(CompositeTransform(affine=affine, dense=dense), bundle.dims)
+    assert folding_fraction(jacobian_determinant(final)) == 0.0
+
+
+def test_instance_loss_samples_the_moving_bundle_at_the_final_map():
+    moving, fixed, _, _ = synth_case(seed=7, dims=(12, 12, 12))
+    config = fast_config(instance_iterations=5)
+    transform, _, artifacts = run_pipeline(config, moving, fixed)
+    value = instance_objective(
+        transform.dense, moving.features, fixed.features, None, None, config, transform.affine
+    )
+    warped = warp_features(moving.features, artifacts["final_map"])
+    want = sam_loss(warped, fixed.features) + config.lambda_reg * reg_loss(transform.dense)
+    assert value == pytest.approx(want, abs=1e-12)
 
 
 def test_pipeline_stage_errors_are_prefixed():
@@ -202,7 +254,10 @@ def test_pipeline_final_map_matches_compose_of_returned_transform():
 def test_pipeline_artifacts_hold_only_what_the_transform_does_not():
     moving, fixed, _, _ = synth_case(seed=7, dims=(12, 12, 12))
     transform, _, artifacts = run_pipeline(fast_config(instance_iterations=5), moving, fixed)
-    # the affine and the upsampled coarse field are read from the transform
+    # The transform holds the affine and the one dense field the instance
+    # stage refined from the coarse field; the coarse map is an artifact.
+    assert transform.coarse is None
     assert set(artifacts) == {"matches", "coarse_field", "pre_map", "final_map"}
-    pre_map = compose(CompositeTransform(affine=transform.affine, coarse=transform.coarse), fixed.dims)
+    coarse_dense = upsample_coarse(artifacts["coarse_field"], fixed.dims)
+    pre_map = compose(CompositeTransform(affine=transform.affine, dense=coarse_dense), fixed.dims)
     assert artifacts["pre_map"].tobytes() == pre_map.tobytes()
