@@ -12,7 +12,7 @@ from .matching import check_unit_or_zero
 from .metrics import check_labels
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bundle:
     """Feature map plus intensity (and optional labels) on one grid.
 
@@ -22,7 +22,8 @@ class Bundle:
     Each feature vector must be unit-norm or zero (see
     :func:`~embreg.matching.check_unit_or_zero`). ``labels``, when given,
     must hold finite integer values, and ``spacing`` must be three finite,
-    positive numbers.
+    positive numbers. The bundle is frozen: the instance stage relies on
+    these checks and does not repeat them.
     """
 
     features: np.ndarray
@@ -46,8 +47,8 @@ class Bundle:
         if _bad_spacing(self.spacing):
             raise ShapeMismatch(f"spacing must be three finite, positive numbers, got {self.spacing!r}")
         check_unit_or_zero(f)
-        self.features = f
-        self.intensity = i
+        object.__setattr__(self, "features", f)
+        object.__setattr__(self, "intensity", i)
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -19,9 +19,10 @@ from .coarse import STRIDE, optimize_coarse, upsample_coarse
 from .config import PipelineConfig, apply_overrides, load_config
 from .container import open_atomic, read_vol1, write_vol1
 from .errors import CorruptContainer, NumericalDivergence, RegistrationError, ShapeMismatch
+from .instance import optimize_instance
 from .matching import load_matches, save_matches, select_points
 from .metrics import dice  # noqa: F401  (perfbench/tracer.py wraps this name here)
-from .pipeline import evaluate, instance_stage, match_stage, run_pipeline
+from .pipeline import evaluate, match_stage, run_pipeline
 from .synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
@@ -143,7 +144,8 @@ def cmd_instance(args) -> int:
         if vol.attrs.get("stride") != str(STRIDE):
             raise CorruptContainer(f"{args.coarse}: lattice needs the attribute stride={STRIDE}")
         coarse_dense = upsample_coarse(vol.values, fixed.dims)
-    write_vol1(args.out, instance_stage(config, moving, fixed, affine, coarse_dense))
+    dense = optimize_instance(moving, fixed, config, affine=affine, start=coarse_dense)
+    write_vol1(args.out, dense)
     print(f"instance field -> {args.out}")
     return 0
 

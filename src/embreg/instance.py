@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .affine import AffineTransform, apply_affine, invert_affine
+from .bundle import Bundle
 from .config import PipelineConfig
 from .descent import PROGRESS, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
 from .grid import Stencil, check_vector_field, identity_grid, normalize_rows, row_blocks
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
-from .matching import check_unit_or_zero
 from .metrics import lncc_fixed, lncc_gradient, ncc_gradient
 from .transform import integrate_svf, integrate_svf_with_tape, svf_backward
 
@@ -55,32 +55,33 @@ def reg_loss(field) -> float:
     return smoothness(check_vector_field(field, "field"))[0]
 
 
-def instance_objective(field, feats_m, feats_f, img_m, img_f, config: PipelineConfig, affine=None) -> float:
-    """Similarity losses through ``affine`` plus ``lambda_reg`` times smoothness on the field."""
-    return _loss(field, feats_m, img_m, *_constants(affine, feats_f, img_f, config), config)[0]
+def instance_objective(field, moving: Bundle, fixed: Bundle, config: PipelineConfig, affine=None) -> float:
+    """Similarity losses through ``affine`` plus ``lambda_reg`` times smoothness on the field.
+
+    Checks nothing: the :class:`~embreg.bundle.Bundle` type carries the input contract.
+    """
+    return _loss(field, moving, *_constants(affine, fixed, config), config)[0]
 
 
 def instance_gradient(
-    field, feats_m, feats_f, img_m, img_f, config: PipelineConfig, affine=None
+    field, moving: Bundle, fixed: Bundle, config: PipelineConfig, affine=None
 ) -> np.ndarray:
     """Analytic gradient of :func:`instance_objective` w.r.t. the field."""
-    return _loss(field, feats_m, img_m, *_constants(affine, feats_f, img_f, config), config)[1]()
+    return _loss(field, moving, *_constants(affine, fixed, config), config)[1]()
 
 
-def _constants(affine, feats_f, img_f, config):
+def _constants(affine, fixed: Bundle, config):
     """A descent's constants: ``A^-1``, the fixed features, their mask and the fixed image.
 
     ``affine=None`` is the identity; the mask is :func:`_unmasked`'s. Under LNCC the image
     comes with its window sums (:func:`~embreg.metrics.lncc_fixed`), computed here once.
     """
-    f = np.asarray(feats_f, dtype=np.float64)
-    if config.intensity_term == "lncc" and img_f is not None:
-        img_f = lncc_fixed(img_f)
+    img_f = lncc_fixed(fixed.intensity) if config.intensity_term == "lncc" else fixed.intensity
     inverse = AffineTransform.identity() if affine is None else invert_affine(affine)
-    return inverse, f, _unmasked(f), img_f
+    return inverse, fixed.features, _unmasked(fixed.features), img_f
 
 
-def _loss(field, feats_m, img_m, inverse, feats_f, fixed_unmasked, img_f, config):
+def _loss(field, moving: Bundle, inverse, feats_f, fixed_unmasked, img_f, config):
     """Instance objective at ``field``, a one-shot closure for its gradient, and the displacement.
 
     The displacement ``u`` is ``field`` itself, or in velocity mode its
@@ -97,9 +98,9 @@ def _loss(field, feats_m, img_m, inverse, feats_f, fixed_unmasked, img_f, config
     else:
         displacement, tape = field, None
     points = apply_affine(inverse, identity_grid(field.shape[:3]) + displacement)
-    stencil = Stencil(points, np.shape(feats_m)[:3])
+    stencil = Stencil(points, moving.dims)
     # Sampled, then normalized in place one row block at a time.
-    warped = stencil.sample(feats_m)
+    warped = stencil.sample(moving.features)
     warped_rows = warped.reshape(-1, warped.shape[-1])
     safe, masked = normalize_rows(warped_rows)
     # The warped vectors are unit or zero, so ``~masked`` is their _unmasked mask.
@@ -109,9 +110,7 @@ def _loss(field, feats_m, img_m, inverse, feats_f, fixed_unmasked, img_f, config
     fixed_rows = feats_f.reshape(warped_rows.shape)
 
     if config.intensity_term != "none":
-        if img_m is None or img_f is None:
-            raise ShapeMismatch("intensity term requested but intensities missing")
-        warped_img = stencil.sample(img_m)
+        warped_img = stencil.sample(moving.intensity)
         if config.intensity_term == "ncc":
             corr, g_img = ncc_gradient(warped_img, img_f)
         else:
@@ -132,12 +131,12 @@ def _loss(field, feats_m, img_m, inverse, feats_f, fixed_unmasked, img_f, config
             w = warped_rows[block]
             g -= np.einsum("nc,nc->n", g, w)[:, None] * w
             np.divide(g, safe[block], out=w)
-        g_points = stencil.vjp(feats_m, warped_rows)
+        g_points = stencil.vjp(moving.features, warped_rows)
         # Free the cotangent and the loop's last block before the intensity
         # term's product, and the stencil before the SVF adjoint builds its own.
         warped_rows = w = g = None
         if config.intensity_term != "none":
-            g_points += stencil.vjp(img_m, -g_img)
+            g_points += stencil.vjp(moving.intensity, -g_img)
         stencil = None
         g_disp = g_points @ inverse.linear
         g_field = svf_backward(g_disp, tape) if tape is not None else g_disp
@@ -147,7 +146,7 @@ def _loss(field, feats_m, img_m, inverse, feats_f, fixed_unmasked, img_f, config
 
 
 def optimize_instance(
-    feats_m, feats_f, img_m, img_f, config: PipelineConfig, affine=None, start=None
+    moving: Bundle, fixed: Bundle, config: PipelineConfig, affine=None, start=None
 ) -> np.ndarray:
     """Quasi-Newton descent (:func:`~embreg.descent.descend`); returns the final displacement.
 
@@ -166,23 +165,21 @@ def optimize_instance(
     descent does not see the objective's scale, so ``lambda_reg`` alone sets
     the trade-off. ``instance_iterations`` is a cap, and the descent stops
     earlier once an iteration gains less than
-    :data:`~embreg.descent.PROGRESS` of the decrease so far. Both feature
-    maps must pass :func:`~embreg.matching.check_unit_or_zero`.
+    :data:`~embreg.descent.PROGRESS` of the decrease so far. The bundles'
+    own checks are the input contract; nothing is checked again here.
     """
-    check_unit_or_zero(feats_m, "moving features: ")
-    check_unit_or_zero(feats_f, "fixed features: ")
-    constants = _constants(affine, feats_f, img_f, config)
+    constants = _constants(affine, fixed, config)
     last = {}  # the field and displacement of the latest evaluation
 
     def evaluate(field):
         # Drop the previous trial's displacement before this one is integrated.
         last.clear()
-        value, gradient, last["displacement"] = _loss(field, feats_m, img_m, *constants, config)
+        value, gradient, last["displacement"] = _loss(field, moving, *constants, config)
         last["field"] = field
         return value, gradient
 
     if start is None:
-        start = np.zeros(np.shape(feats_f)[:3] + (3,))
+        start = np.zeros(fixed.dims + (3,))
     field = descend(evaluate, start, config.instance_iterations, progress=PROGRESS)
     if last["field"] is field:
         return last["displacement"]

@@ -7,9 +7,8 @@ then a similarity threshold removes low-confidence pairs.
 
 Each feature vector must be unit-norm or zero (masked), for the threshold
 here and for the instance loss's mask alike. :func:`check_unit_or_zero`
-checks this where it is assumed: in :func:`sscc` and
-:func:`~embreg.instance.optimize_instance`, and where feature maps enter,
-in :class:`~embreg.bundle.Bundle`.
+checks this in :func:`sscc`, which ``embreg match`` gives raw feature maps,
+and in :class:`~embreg.bundle.Bundle`, the only input the instance loss takes.
 """
 
 from __future__ import annotations

@@ -38,14 +38,6 @@ def match_stage(config: PipelineConfig, feats_moving, feats_fixed) -> MatchSet:
     return filter_matches(matches, EPSILON)
 
 
-def instance_stage(config: PipelineConfig, moving: Bundle, fixed: Bundle, affine, coarse_dense):
-    """Refine ``coarse_dense`` (``None``: zero) into the one dense field behind ``affine``."""
-    return optimize_instance(
-        moving.features, fixed.features, moving.intensity, fixed.intensity, config,
-        affine=affine, start=coarse_dense,
-    )
-
-
 def evaluate(final_map, moving_labels, fixed_labels, spacing, landmarks=None) -> RegistrationReport:
     """Folding fraction of ``final_map``, Dice of the warped labels and landmark error.
 
@@ -102,7 +94,7 @@ def run_pipeline(
         coarse_dense = upsample_coarse(lattice, dims)
         pre_map = compose(CompositeTransform(affine=affine, dense=coarse_dense), dims)
     with _stage("instance", timings):
-        dense = instance_stage(config, moving, fixed, affine, coarse_dense)
+        dense = optimize_instance(moving, fixed, config, affine=affine, start=coarse_dense)
     transform = CompositeTransform(affine=affine, dense=dense)
     with _stage("evaluate", timings):
         final_map = compose(transform, dims)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from embreg.affine import AffineTransform, apply_affine, fit_affine_points, invert_affine
+from embreg.bundle import Bundle
 from embreg.coarse import (
     coarse_gradient,
     coarse_objective,
@@ -84,8 +85,8 @@ def test_criterion_1_gradient_correctness(capfd):
             idims = (6, 6, 6)
             feats_m = normalize_features(rng.normal(size=idims + (4,)))
             feats_f = normalize_features(rng.normal(size=idims + (4,)))
-            img_m = rng.normal(size=idims)
-            img_f = rng.normal(size=idims)
+            bundle_m = Bundle(feats_m, rng.normal(size=idims))
+            bundle_f = Bundle(feats_f, rng.normal(size=idims))
             term = ("none", "ncc", "lncc")[seed % 3]
             param = ("displacement", "svf")[seed % 2]
             cfg = PipelineConfig(
@@ -94,7 +95,7 @@ def test_criterion_1_gradient_correctness(capfd):
                 parameterization=param,
             )
             field = rng.normal(scale=0.3, size=idims + (3,))
-            igrad = instance_gradient(field, feats_m, feats_f, img_m, img_f, cfg)
+            igrad = instance_gradient(field, bundle_m, bundle_f, cfg)
             for _ in range(6):
                 idx = tuple(rng.integers(0, s) for s in field.shape)
                 fp = field.copy()
@@ -102,8 +103,8 @@ def test_criterion_1_gradient_correctness(capfd):
                 fm = field.copy()
                 fm[idx] -= h
                 fd = (
-                    instance_objective(fp, feats_m, feats_f, img_m, img_f, cfg)
-                    - instance_objective(fm, feats_m, feats_f, img_m, img_f, cfg)
+                    instance_objective(fp, bundle_m, bundle_f, cfg)
+                    - instance_objective(fm, bundle_m, bundle_f, cfg)
                 ) / (2 * h)
                 worst_instance = max(worst_instance, _rel_err(igrad[idx], fd))
 

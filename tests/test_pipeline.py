@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from embreg.coarse import upsample_coarse
 from embreg.config import PipelineConfig
 from embreg.errors import RegistrationError, ShapeMismatch
 from embreg.grid import identity_grid, warp_features
-from embreg.instance import instance_objective, reg_loss, sam_loss
+from embreg.instance import instance_objective, optimize_instance, reg_loss, sam_loss
 from embreg.matching import select_points
-from embreg.pipeline import evaluate, instance_stage, match_stage, run_pipeline
+from embreg.pipeline import evaluate, match_stage, run_pipeline
 from embreg.synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
 from embreg.transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
@@ -117,7 +119,7 @@ def test_svf_instance_stage_unfolds_a_folding_coarse_field():
     start = compose(CompositeTransform(affine=affine, dense=coarse), bundle.dims)
     assert folding_fraction(jacobian_determinant(start)) > 0.1
     config = fast_config(parameterization="svf", intensity_term="ncc", instance_iterations=3)
-    dense = instance_stage(config, bundle, bundle, affine, coarse)
+    dense = optimize_instance(bundle, bundle, config, affine=affine, start=coarse)
     final = compose(CompositeTransform(affine=affine, dense=dense), bundle.dims)
     assert folding_fraction(jacobian_determinant(final)) == 0.0
 
@@ -126,9 +128,7 @@ def test_instance_loss_samples_the_moving_bundle_at_the_final_map():
     moving, fixed, _, _ = synth_case(seed=7, dims=(12, 12, 12))
     config = fast_config(instance_iterations=5)
     transform, _, artifacts = run_pipeline(config, moving, fixed)
-    value = instance_objective(
-        transform.dense, moving.features, fixed.features, None, None, config, transform.affine
-    )
+    value = instance_objective(transform.dense, moving, fixed, config, transform.affine)
     warped = warp_features(moving.features, artifacts["final_map"])
     want = sam_loss(warped, fixed.features) + config.lambda_reg * reg_loss(transform.dense)
     assert value == pytest.approx(want, abs=1e-12)
@@ -241,6 +241,13 @@ def test_bundle_keeps_contiguous_inputs_and_copies_strided_ones():
     assert not np.shares_memory(copied.intensity, fortran)
     np.testing.assert_array_equal(copied.features, features)
     np.testing.assert_array_equal(copied.intensity, intensity)
+
+
+def test_bundle_is_frozen():
+    # The instance stage reads the checked arrays without checking them again.
+    bundle = Bundle(features=np.ones((4, 4, 4, 1)), intensity=np.ones((4, 4, 4)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bundle.features = 2 * bundle.features
 
 
 def test_pipeline_final_map_matches_compose_of_returned_transform():
