@@ -112,10 +112,13 @@ def _direction(grad, largest: float, move, last_grad) -> np.ndarray:
 def smoothness(field: np.ndarray):
     """Mean squared forward difference of a ``(D, H, W, 3)`` field, as ``(value, gradient_fn)``.
 
-    The gradient recomputes the differences so that the closure holds only the field.
+    The value takes each axis's differences once, as their dot product with
+    themselves. The gradient recomputes the differences so that the closure
+    holds only the field.
     """
     n = int(np.prod(field.shape[:3]))
-    value = sum(float(np.sum(np.square(np.diff(field, axis=a)))) for a in range(3)) / n
+    diffs = (np.diff(field, axis=a) for a in range(3))
+    value = sum(float(np.vdot(d, d)) for d in diffs) / n
 
     def gradient() -> np.ndarray:
         grad = np.zeros_like(field)

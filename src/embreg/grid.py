@@ -144,33 +144,44 @@ class Stencil:
         """
         return (self.matrix @ self._flat(field)).reshape(self.shape + np.shape(field)[3:])
 
-    def vjp(self, field, g) -> np.ndarray:
-        """``d<g, sample(field)>/d(points)``, shaped like the points.
+    def vjp(self, field, g, volume=None, g_volume=None) -> np.ndarray:
+        """``d<g, sample(field)>/d(points)``, plus ``d<g_volume, sample(volume)>`` if given.
 
-        Each corner's values are dotted with ``g`` over the channels before the
-        weight derivatives apply, so the ``(n, C, 3)`` Jacobian is never formed.
-        A field of at most :data:`_PRODUCT_CHANNELS` channels (a displacement
-        or an intensity) is dotted as a sum of per-channel products, a wider
-        feature map with ``np.einsum``. The derivative is zero along any axis
-        where a point is clamped (at or outside the boundary), matching the
-        piecewise-linear interpolant. ``g`` is shaped like the samples and read
-        one :func:`row_blocks` block at a time; the instance loss passes its
-        sampled features, overwritten with their cotangent.
+        Shaped like the points. Each corner's values are dotted with ``g`` over
+        the channels before the weight derivatives apply, so the ``(n, C, 3)``
+        Jacobian is never formed. A field of at most :data:`_PRODUCT_CHANNELS`
+        channels (a displacement or an intensity) is dotted as a sum of
+        per-channel products, a wider feature map with ``np.einsum``. A scalar
+        ``volume`` on the same grid adds its corner products into the same
+        dots, so it shares their derivative tail: the instance loss passes its
+        sampled features, overwritten with their cotangent, and the moving
+        intensity with its correlation's cotangent. The derivative is zero
+        along any axis where a point is clamped (at or outside the boundary),
+        matching the piecewise-linear interpolant. ``g`` and ``g_volume`` are
+        shaped like the samples and read one :func:`row_blocks` block at a time.
         """
         flat = self._flat(field)
         channels = flat.shape[1]
         g_rows = np.asarray(g, dtype=np.float64).reshape(len(self.index), channels)
+        if volume is not None:
+            values = self._flat(volume)
+            if values.shape[1] != 1:
+                raise ShapeMismatch(f"volume must be scalar, got {values.shape[1]} channels")
+            values = values[:, 0]
+            g_values = np.asarray(g_volume, dtype=np.float64).reshape(len(self.index))
         dots = np.empty((8, len(self.index)))
         for block in row_blocks(len(self.index), channels):
             g_block = g_rows[block]
             for k in range(8):
                 corner = flat.take(self.index[block, k], axis=0)
                 if channels > _PRODUCT_CHANNELS:
-                    dots[k, block] = np.einsum("nc,nc->n", corner, g_block)
+                    dot = np.einsum("nc,nc->n", corner, g_block, out=dots[k, block])
                 else:
                     dot = np.multiply(corner[:, 0], g_block[:, 0], out=dots[k, block])
                     for c in range(1, channels):
                         dot += corner[:, c] * g_block[:, c]
+                if volume is not None:
+                    dot += values.take(self.index[block, k]) * g_values[block]
         # d(weight)/d(coordinate) is -1 for the low and +1 for the high corner
         # along that axis, times the other two axes' weights.
         d = dots.reshape(2, 2, 2, -1)

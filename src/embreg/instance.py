@@ -4,7 +4,10 @@ Minimizes one minus mean feature similarity, plus an optional intensity
 dissimilarity (NCC or LNCC), plus ``lambda_reg`` times a gradient-smoothness
 penalty on the optimized field. Gradients are analytic through the whole
 chain: trilinear sampling, the affine, per-voxel feature re-normalization,
-the correlation terms, and (in velocity mode) scaling-and-squaring.
+the correlation terms, and (in velocity mode) scaling-and-squaring. Each
+per-voxel term is one pass over whole rows: the feature similarity is taken
+from the raw samples and their norms, with no normalized copy, and the
+intensity's cotangent shares the features' vector-Jacobian product.
 """
 
 from __future__ import annotations
@@ -16,17 +19,19 @@ from .bundle import Bundle
 from .config import PipelineConfig
 from .descent import PROGRESS, descend, smoothness
 from .errors import EmptyOverlap, ShapeMismatch
-from .grid import Stencil, check_vector_field, identity_grid, normalize_rows, row_blocks
+from .grid import MASK_NORM_EPS, Stencil, check_vector_field, identity_grid
 from .grid import trilinear_sample_with_grad  # noqa: F401  (perfbench/tracer.py wraps this name here)
 from .metrics import lncc_fixed, lncc_gradient, ncc_gradient
 from .transform import integrate_svf, integrate_svf_with_tape, svf_backward
 
 
 def sam_loss(warped_features, fixed_features) -> float:
-    """Mean of ``1 - similarity`` over voxels unmasked on both sides."""
-    w = np.asarray(warped_features, dtype=np.float64)
+    """Mean of ``1 - similarity`` over voxels unmasked on both sides.
+
+    The warped vectors are compared after re-normalization, as in the instance loss.
+    """
     f = np.asarray(fixed_features, dtype=np.float64)
-    return _sam_terms(w, _unmasked(w), f, _unmasked(f))[0]
+    return _feature_terms(np.asarray(warped_features, dtype=np.float64), f, _unmasked(f))[0]
 
 
 def _unmasked(features) -> np.ndarray:
@@ -34,20 +39,29 @@ def _unmasked(features) -> np.ndarray:
     return np.linalg.norm(features, axis=-1) > 0.5
 
 
-def _sam_terms(warped, warped_unmasked, fixed, fixed_unmasked):
-    """Feature loss, the ``(n,)`` rows unmasked on both sides, and their count.
+def _feature_terms(raw, fixed, fixed_unmasked):
+    """Feature loss of sampled features ``raw`` against ``fixed``, and its per-voxel terms.
 
-    ``warped_unmasked`` and ``fixed_unmasked`` are both sides' :func:`_unmasked` masks.
+    Each voxel compares ``s = raw . f / |raw|``, the similarity after
+    re-normalization, so no normalized copy of ``raw`` is made. Voxels where
+    ``|raw|`` is below :data:`~embreg.grid.MASK_NORM_EPS`, or outside
+    ``fixed_unmasked`` (the fixed side's :func:`_unmasked` mask), are masked.
+    Returns the loss, then flat over the voxels: ``s``, ``|raw|`` (1 where it
+    is 0), the voxels unmasked on both sides, and their count.
     """
-    if warped.shape != fixed.shape:
-        raise ShapeMismatch(f"feature maps differ: {warped.shape} vs {fixed.shape}")
-    unmasked = warped_unmasked & fixed_unmasked
+    if raw.shape != fixed.shape:
+        raise ShapeMismatch(f"feature maps differ: {raw.shape} vs {fixed.shape}")
+    rows = raw.reshape(-1, raw.shape[-1])
+    norms = np.sqrt(np.einsum("nc,nc->n", rows, rows))
+    unmasked = norms >= MASK_NORM_EPS
+    unmasked &= fixed_unmasked.reshape(-1)
     n = int(np.count_nonzero(unmasked))
     if n == 0:
         raise EmptyOverlap("all voxels masked in feature loss")
-    sims = np.einsum("...c,...c->...", warped, fixed)
-    value = float(np.sum((1.0 - sims)[unmasked]) / n)
-    return value, unmasked.reshape(-1), n
+    norms[norms == 0.0] = 1.0
+    sims = np.einsum("nc,nc->n", rows, fixed.reshape(rows.shape))
+    sims /= norms
+    return float(np.sum((1.0 - sims)[unmasked]) / n), sims, norms, unmasked, n
 
 
 def reg_loss(field) -> float:
@@ -88,9 +102,14 @@ def _loss(field, moving: Bundle, inverse, feats_f, fixed_unmasked, img_f, config
     integral. One stencil samples the moving bundle at ``inverse`` of ``x +
     u(x)``, the points of the final map; its cotangents reach ``u`` through
     ``inverse.linear``. The closure reuses this forward pass (SVF tape,
-    sampled features and the stencil, whose derivatives only the closure
-    computes); the intensity correlation's gradient comes with its value.
-    ``inverse`` to ``img_f`` come from :func:`_constants`.
+    sampled features, the per-voxel terms of :func:`_feature_terms` and the
+    stencil, whose derivatives only the closure computes); the intensity
+    correlation's gradient comes with its value. The closure overwrites the
+    sampled features with their cotangent and turns the similarities and
+    norms into its per-voxel factors, in place, then makes one
+    :meth:`~embreg.grid.Stencil.vjp` call that adds the moving intensity's
+    products into the features' corner dots. ``inverse`` to ``img_f`` come
+    from :func:`_constants`.
     """
     field = np.asarray(field, dtype=np.float64)
     if config.parameterization == "svf":
@@ -99,16 +118,10 @@ def _loss(field, moving: Bundle, inverse, feats_f, fixed_unmasked, img_f, config
         displacement, tape = field, None
     points = apply_affine(inverse, identity_grid(field.shape[:3]) + displacement)
     stencil = Stencil(points, moving.dims)
-    # Sampled, then normalized in place one row block at a time.
-    warped = stencil.sample(moving.features)
-    warped_rows = warped.reshape(-1, warped.shape[-1])
-    safe, masked = normalize_rows(warped_rows)
-    # The warped vectors are unit or zero, so ``~masked`` is their _unmasked mask.
-    sim_value, unmasked, n = _sam_terms(
-        warped, ~masked.reshape(warped.shape[:-1]), feats_f, fixed_unmasked
-    )
-    fixed_rows = feats_f.reshape(warped_rows.shape)
+    raw = stencil.sample(moving.features)
+    sim_value, sims, norms, unmasked, n = _feature_terms(raw, feats_f, fixed_unmasked)
 
+    intensity = ()  # the moving intensity and its cotangent, for the features' vjp
     if config.intensity_term != "none":
         warped_img = stencil.sample(moving.intensity)
         if config.intensity_term == "ncc":
@@ -116,28 +129,26 @@ def _loss(field, moving: Bundle, inverse, feats_f, fixed_unmasked, img_f, config
         else:
             corr, g_img = lncc_gradient(warped_img, img_f)
         sim_value += 1.0 - corr
+        intensity = (moving.intensity, np.negative(g_img, out=g_img))
 
     reg_value, reg_gradient = smoothness(field)
     value = sim_value + config.lambda_reg * reg_value
 
     def gradient() -> np.ndarray:
-        nonlocal warped_rows, stencil
-        # The feature cotangent, written over the sampled features one row block
-        # at a time: back through per-voxel re-normalization, (I - s s^T) / |raw|.
-        for block in row_blocks(*warped_rows.shape):
-            g = -fixed_rows[block]
-            g /= n
-            g[~unmasked[block]] = 0.0  # masked warped rows too, and w is 0 there
-            w = warped_rows[block]
-            g -= np.einsum("nc,nc->n", g, w)[:, None] * w
-            np.divide(g, safe[block], out=w)
-        g_points = stencil.vjp(moving.features, warped_rows)
-        # Free the cotangent and the loop's last block before the intensity
-        # term's product, and the stencil before the SVF adjoint builds its own.
-        warped_rows = w = g = None
-        if config.intensity_term != "none":
-            g_points += stencil.vjp(moving.intensity, -g_img)
-        stencil = None
+        nonlocal raw, sims, norms, stencil
+        # The feature cotangent (raw s / |raw| - f) / (n |raw|), the derivative
+        # of -s / n through the re-normalization, written over the sampled
+        # features as three row products; masked voxels get factor 0.
+        rows = raw.reshape(-1, raw.shape[-1])
+        sims /= norms  # s / |raw|
+        norms *= n
+        np.divide(unmasked, norms, out=norms)  # 1 / (n |raw|)
+        rows *= sims[:, None]
+        rows -= feats_f.reshape(rows.shape)
+        rows *= norms[:, None]
+        g_points = stencil.vjp(moving.features, rows, *intensity)
+        # Free the cotangent and the stencil before the SVF adjoint builds its own.
+        raw = rows = sims = norms = stencil = None
         g_disp = g_points @ inverse.linear
         g_field = svf_backward(g_disp, tape) if tape is not None else g_disp
         return g_field + config.lambda_reg * reg_gradient()

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from embreg.descent import HALVINGS, PROGRESS, descend
+from embreg.descent import HALVINGS, PROGRESS, descend, smoothness
 from embreg.errors import NumericalDivergence
 
 
@@ -179,3 +179,17 @@ def test_scaled_objective_gives_byte_equal_iterates(caplog, scale):
         assert point.tobytes() == ref_point.tobytes()
         assert value == scale * ref_value
     assert x_scaled.tobytes() == x.tobytes()
+
+
+def test_smoothness_gradient_matches_central_differences():
+    # A non-cubic field, so each axis's differences have their own shape.
+    field = np.random.default_rng(3).normal(size=(4, 5, 6, 3))
+    grad = smoothness(field)[1]()
+    h = 1e-5
+    fd = np.empty_like(field)
+    for idx in np.ndindex(field.shape):
+        up, down = field.copy(), field.copy()
+        up[idx] += h
+        down[idx] -= h
+        fd[idx] = (smoothness(up)[0] - smoothness(down)[0]) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-8, atol=1e-8 * np.abs(grad).max())

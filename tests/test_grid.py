@@ -321,6 +321,32 @@ def test_trilinear_sample_point_blocks_are_byte_identical(case, block):
 
 
 @settings(max_examples=100, deadline=None)
+@given(stencil_cases(), st.sampled_from([1, 3, 16]), st.integers(1, 7))
+def test_stencil_vjp_adds_a_scalar_volume_into_the_same_dots(case, channels, block):
+    dims, _, pts, seed = case
+    rng = np.random.default_rng(seed)
+    # Every voxel jittered past the faces, so points are clamped and outside too.
+    jittered = identity_grid(dims) + rng.uniform(-1.5, 1.5, dims + (3,))
+    stencil = Stencil(np.concatenate([pts, jittered.reshape(-1, 3)]), dims)
+    field = rng.normal(size=dims + (channels,))
+    volume = rng.normal(size=dims)
+    g = rng.normal(size=(len(stencil.index), channels))
+    g_volume = rng.normal(size=len(stencil.index))
+    got = stencil.vjp(field, g, volume, g_volume)
+    want = stencil.vjp(field, g) + stencil.vjp(volume, g_volume)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_GATHER_BYTES", 8 * channels * block)
+        assert stencil.vjp(field, g, volume, g_volume).tobytes() == got.tobytes()
+
+
+def test_stencil_vjp_rejects_a_volume_with_channels():
+    stencil = Stencil(np.zeros((2, 3)), (3, 3, 3))
+    with pytest.raises(ShapeMismatch, match="volume must be scalar"):
+        stencil.vjp(np.zeros((3, 3, 3)), np.zeros(2), np.zeros((3, 3, 3, 2)), np.zeros((2, 2)))
+
+
+@settings(max_examples=100, deadline=None)
 @given(stencil_cases(), st.sampled_from([1, 2, 3]))
 def test_stencil_vjp_channel_products_match_einsum(case, channels):
     dims, _, pts, seed = case
