@@ -57,14 +57,18 @@ def _read_scalar(path):
 
 
 def _load_bundle(directory: Path) -> Bundle:
-    features = read_vol1(directory / "features.vol1")
-    labels_path = directory / "labels.vol1"
-    return Bundle(
-        features=features.values,
-        intensity=_read_scalar(directory / "intensity.vol1")[0],
-        labels=_read_scalar(labels_path)[0] if labels_path.exists() else None,
-        spacing=features.spacing,
-    )
+    """The bundle in ``directory``; its intensity and labels must have the features' spacing."""
+    features_path = directory / "features.vol1"
+    features = read_vol1(features_path)
+    scalars = {}
+    for name in ("intensity", "labels"):
+        path = directory / f"{name}.vol1"
+        if name == "labels" and not path.exists():
+            continue
+        scalars[name], spacing = _read_scalar(path)
+        if spacing != features.spacing:
+            raise ShapeMismatch(f"{path}: spacing {spacing}, but {features_path} has {features.spacing}")
+    return Bundle(features=features.values, spacing=features.spacing, **scalars)
 
 
 def _write_bundle(directory: Path, bundle: Bundle) -> None:

@@ -281,7 +281,7 @@ def warp_scalar(volume, inverse_map) -> np.ndarray:
 
 def warp_labels(labels, inverse_map) -> np.ndarray:
     """Nearest-neighbor pullback for categorical label volumes."""
-    m = check_vector_field(inverse_map, "inverse map")
+    m = _as_points(check_vector_field(inverse_map, "inverse map"))
     lab = np.asarray(labels)
     if lab.ndim != 3:
         raise ShapeMismatch(f"labels must be (D,H,W), got {lab.shape}")

@@ -198,9 +198,9 @@ def sscc(feat_moving, feat_fixed, step: int, iterations: int) -> MatchSet:
     return MatchSet(moving=x_m[keep], fixed=x_f[keep], scores=scores[keep])
 
 
-def filter_matches(matches: MatchSet, epsilon: float) -> MatchSet:
-    """Keep pairs with similarity strictly above ``epsilon``; order preserved."""
-    keep = matches.scores > float(epsilon)
+def filter_matches(matches: MatchSet) -> MatchSet:
+    """Keep pairs with similarity strictly above :data:`EPSILON`; order preserved."""
+    keep = matches.scores > EPSILON
     return MatchSet(
         moving=matches.moving[keep],
         fixed=matches.fixed[keep],

@@ -105,69 +105,65 @@ def ncc_gradient(a, b) -> tuple[float, np.ndarray]:
     return value, grad
 
 
-def _box_sum(arr: np.ndarray, window: int) -> np.ndarray:
-    """Sum over the window intersected with the volume (border truncation)."""
-    return ndimage.uniform_filter(arr, size=window, mode="constant") * float(window**arr.ndim)
+def _box_sum(arr: np.ndarray) -> np.ndarray:
+    """Sum over the :data:`LNCC_WINDOW` box intersected with the volume (border truncation)."""
+    return ndimage.uniform_filter(arr, size=LNCC_WINDOW, mode="constant") * float(LNCC_WINDOW**arr.ndim)
 
 
 @dataclass(frozen=True)
 class LnccFixed:
-    """A fixed volume, its LNCC window, and the window sums that depend on them alone.
+    """A fixed volume and the :data:`LNCC_WINDOW` sums that depend on it alone.
 
-    Made by :func:`lncc_fixed` and passed to :func:`lncc_gradient`, which
-    reads the window from it, so a descent that compares many warped volumes
-    against one fixed volume computes these sums once.
+    Made by :func:`lncc_fixed` and passed to :func:`lncc_gradient`, so a
+    descent that compares many warped volumes against one fixed volume
+    computes these sums once.
     """
 
     volume: np.ndarray
-    window: int
     count: np.ndarray  # voxels in each truncated window
     mean: np.ndarray
     centred: np.ndarray  # sum of squared deviations from the window mean
 
 
-def lncc_fixed(b, window: int = LNCC_WINDOW) -> LnccFixed:
+def lncc_fixed(b) -> LnccFixed:
     """The window sums of ``b`` that :func:`lncc_gradient` needs, for reuse across calls."""
-    if window < 3 or window % 2 == 0:
-        raise ShapeMismatch(f"window must be odd and >= 3, got {window}")
     bv = np.asarray(b, dtype=np.float64)
     # The three sums outlive many evaluations; one block holds them, which
     # fragments the heap less than three separate arrays.
     sums = np.empty((3,) + bv.shape)
     n, mean_b, sbb = sums
-    n[...] = _box_sum(np.ones_like(bv), window)
+    n[...] = _box_sum(np.ones_like(bv))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(_box_sum(bv, window), n, out=mean_b)
-        sbb[...] = _box_sum(bv * bv, window) - n * mean_b * mean_b
+        np.divide(_box_sum(bv), n, out=mean_b)
+        sbb[...] = _box_sum(bv * bv) - n * mean_b * mean_b
     if not np.isfinite(sbb).all():
         raise DegenerateIntensity(_TOO_LARGE)
-    return LnccFixed(bv, window, n, mean_b, sbb)
+    return LnccFixed(bv, n, mean_b, sbb)
 
 
-def lncc(a, b, window: int = LNCC_WINDOW) -> float:
-    """Mean of windowed NCC; degenerate (zero-variance) windows contribute 0."""
-    return lncc_gradient(a, lncc_fixed(b, window))[0]
+def lncc(a, b) -> float:
+    """Mean NCC over :data:`LNCC_WINDOW` boxes; degenerate (zero-variance) windows contribute 0."""
+    return lncc_gradient(a, lncc_fixed(b))[0]
 
 
 def lncc_gradient(a, fixed: LnccFixed) -> tuple[float, np.ndarray]:
     """Mean windowed NCC of ``a`` against ``fixed`` and its gradient with respect to ``a``.
 
     Each voxel participates in every window containing it; the per-window
-    terms are accumulated with truncated box sums over ``fixed.window``.
-    ``fixed`` comes from :func:`lncc_fixed`.
+    terms are accumulated with box sums over :data:`LNCC_WINDOW` voxels a
+    side, truncated at the border. ``fixed`` comes from :func:`lncc_fixed`.
     """
-    window = fixed.window
     av = np.asarray(a, dtype=np.float64)
     bv, n, mean_b, sbb = fixed.volume, fixed.count, fixed.mean, fixed.centred
     if av.shape != bv.shape:
         raise ShapeMismatch(f"volumes differ: {av.shape} vs {bv.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_a = _box_sum(av, window) / n
-        saa = _box_sum(av * av, window) - n * mean_a * mean_a
+        mean_a = _box_sum(av) / n
+        saa = _box_sum(av * av) - n * mean_a * mean_a
         product = saa * sbb
     if not np.isfinite(product).all():
         raise DegenerateIntensity(_TOO_LARGE)
-    sab = _box_sum(av * bv, window) - n * mean_a * mean_b
+    sab = _box_sum(av * bv) - n * mean_a * mean_b
     good = (saa > _VAR_EPS) & (sbb > _VAR_EPS)
     denom = np.sqrt(np.where(good, product, 1.0))
     corr = np.where(good, sab / denom, 0.0)
@@ -175,10 +171,10 @@ def lncc_gradient(a, fixed: LnccFixed) -> tuple[float, np.ndarray]:
     inv_d = np.where(good, 1.0 / denom, 0.0)
     c_over_saa = np.where(good, corr / np.where(good, saa, 1.0), 0.0)
     grad = (
-        bv * _box_sum(inv_d, window)
-        - _box_sum(mean_b * inv_d, window)
-        - av * _box_sum(c_over_saa, window)
-        + _box_sum(mean_a * c_over_saa, window)
+        bv * _box_sum(inv_d)
+        - _box_sum(mean_b * inv_d)
+        - av * _box_sum(c_over_saa)
+        + _box_sum(mean_a * c_over_saa)
     ) / av.size
     return value, grad
 

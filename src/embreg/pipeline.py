@@ -14,7 +14,7 @@ from .config import PipelineConfig
 from .errors import RegistrationError
 from .grid import trilinear_sample, warp_labels
 from .instance import optimize_instance
-from .matching import EPSILON, MatchSet, filter_matches, sscc
+from .matching import MatchSet, filter_matches, sscc
 from .metrics import RegistrationReport, check_labels, dice, landmark_error
 from .transform import CompositeTransform, compose, folding_fraction, jacobian_determinant
 
@@ -31,11 +31,11 @@ def _stage(name: str, timings: dict[str, float]):
 
 
 def match_stage(config: PipelineConfig, feats_moving, feats_fixed) -> MatchSet:
-    """Cycle-consistent matches between two feature maps, filtered by :data:`EPSILON`."""
+    """Cycle-consistent matches of two feature maps, scored above :data:`~embreg.matching.EPSILON`."""
     matches = sscc(
         feats_moving, feats_fixed, step=config.match_step, iterations=config.sscc_iterations
     )
-    return filter_matches(matches, EPSILON)
+    return filter_matches(matches)
 
 
 def evaluate(final_map, moving_labels, fixed_labels, spacing, landmarks=None) -> RegistrationReport:

@@ -22,7 +22,7 @@ from embreg.errors import CorruptContainer, NotVol1
 from embreg.grid import identity_grid, normalize_features
 from embreg.instance import instance_gradient, instance_objective
 from embreg.matching import MatchSet, filter_matches, find_points, sscc
-from embreg.metrics import dice, landmark_error, lncc, ncc
+from embreg.metrics import LNCC_WINDOW, dice, landmark_error, lncc, ncc
 from embreg.pipeline import run_pipeline
 from embreg.synth import SynthSpec, make_atlas, make_pair, random_smooth_warp
 from embreg.transform import (
@@ -146,7 +146,7 @@ def test_criterion_3_sscc_fixed_point(capfd):
         start = time.perf_counter()
         spec = SynthSpec(dims=(24, 24, 24), channels=16, feature_smoothness=2.0, seed=7)
         features, _, _ = make_atlas(spec)
-        matches = filter_matches(sscc(features, features, step=4, iterations=5), 0.7)
+        matches = filter_matches(sscc(features, features, step=4, iterations=5))
         assert len(matches) > 0
         identity = np.all(matches.moving == matches.fixed, axis=1)
         frac = float(np.mean(identity))
@@ -315,12 +315,13 @@ def test_criterion_7_metric_identities(capfd):
         assert abs(ncc(x, y) - oracle) < 1e-12
 
         # LNCC
-        assert abs(lncc(v, v, 3) - 1.0) < 1e-10
-        assert lncc(np.full((4, 4, 4), 2.0), np.full((4, 4, 4), 5.0), 3) == 0.0
-        p = rng.normal(size=(5, 5, 5))
-        q = rng.normal(size=(5, 5, 5))
+        assert abs(lncc(v, v) - 1.0) < 1e-10
+        assert lncc(np.full((4, 4, 4), 2.0), np.full((4, 4, 4), 5.0)) == 0.0
+        # larger than the window on every axis: full and truncated windows
+        p = rng.normal(size=(11, 12, 10))
+        q = rng.normal(size=(11, 12, 10))
         brute = []
-        r = 1
+        r = LNCC_WINDOW // 2
         for i in np.ndindex(p.shape):
             sl = tuple(slice(max(0, c - r), min(d, c + r + 1)) for c, d in zip(i, p.shape))
             aw = p[sl].ravel() - p[sl].mean()
@@ -329,7 +330,7 @@ def test_criterion_7_metric_identities(capfd):
             brute.append(
                 np.sum(aw * bw) / np.sqrt(saa * sbb) if saa > 1e-12 and sbb > 1e-12 else 0.0
             )
-        assert abs(lncc(p, q, 3) - float(np.mean(brute))) < 1e-10
+        assert abs(lncc(p, q) - float(np.mean(brute))) < 1e-10
 
         # Jacobian determinant
         det = jacobian_determinant(identity_grid((5, 5, 5)))

@@ -928,6 +928,23 @@ def test_fixed_volume_that_does_not_fit_the_pair_exits_3(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["intensity.vol1", "labels.vol1"])
+@pytest.mark.parametrize("command", ["register", "instance"])
+def test_bundle_files_with_different_spacings_exit_3(synth_pair, tmp_path, command, name, capsys):
+    fixed = tmp_path / "fixed"
+    shutil.copytree(synth_pair / "fixed", fixed)
+    vol = read_vol1(fixed / name)
+    write_vol1(fixed / name, vol.values, dtype=vol.dtype, spacing=(2.0, 2.0, 2.0))
+    out = tmp_path / "out"
+    dirs = ["--moving-dir", str(synth_pair / "moving"), "--fixed-dir", str(fixed)]
+    rc = main([command, *dirs, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    # both files named, before any stage runs
+    assert f"{fixed / name}: spacing (2.0, 2.0, 2.0), but {fixed / 'features.vol1'} has (1.0, 1.0, 1.0)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scale", [0.3, 2.0])
 @pytest.mark.parametrize("command", ["match", "register", "instance"])
 def test_features_neither_unit_nor_zero_exit_3(synth_pair, tmp_path, command, scale, capsys):

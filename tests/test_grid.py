@@ -17,6 +17,7 @@ from embreg.grid import (
     trilinear_sample,
     trilinear_sample_with_grad,
     warp_features,
+    warp_labels,
     warp_scalar,
 )
 
@@ -100,6 +101,23 @@ def test_non_finite_coordinate_rejected():
         trilinear_sample(vol, (np.nan, 0, 0))
     with pytest.raises(InvalidCoordinate):
         trilinear_sample(vol, (np.inf, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "warp, moving",
+    [
+        (warp_scalar, np.zeros((3, 3, 3))),
+        (warp_labels, np.ones((3, 3, 3), dtype=np.int64)),
+        (warp_features, np.ones((3, 3, 3, 2)) / np.sqrt(2.0)),
+    ],
+    ids=["scalar", "labels", "features"],
+)
+def test_warps_reject_a_non_finite_map(warp, moving, bad):
+    inv_map = identity_grid((3, 3, 3))
+    inv_map[1, 2, 0, 1] = bad
+    with pytest.raises(InvalidCoordinate):
+        warp(moving, inv_map)
 
 
 def test_warp_scalar_identity_map():

@@ -322,9 +322,9 @@ def test_gradient_frees_samples_and_stencil_before_the_svf_adjoint(monkeypatch, 
 
 def test_peak_memory_per_voxel_does_not_grow_with_the_grid():
     # SVF + LNCC from a non-zero start, as the pipeline starts from the coarse
-    # field. At 16³ / 24³ / 32³ the peak reads 778 / 663 / 652 B a voxel: the
+    # field. At 16³ / 24³ / 32³ the peak reads 723 / 667 / 659 B a voxel: the
     # per-voxel share falls as fixed costs spread, and the ceiling leaves
-    # about 10 % over the 16³ figure.
+    # 137 B (19 %) over the 16³ figure.
     config = PipelineConfig(parameterization="svf", intensity_term="lncc", instance_iterations=3)
     per_voxel = []
     for n in (16, 24):

@@ -7,6 +7,7 @@ from embreg import matching
 from embreg.errors import DimensionMismatch, InvalidStep, ShapeMismatch
 from embreg.grid import normalize_features
 from embreg.matching import (
+    EPSILON,
     UNIT_NORM_TOL,
     MatchSet,
     check_unit_or_zero,
@@ -249,34 +250,23 @@ def test_sscc_with_a_huge_round_count_returns_at_its_fixed_point(monkeypatch):
 
 
 def test_filter_matches_threshold_behavior():
+    # strictly above EPSILON: EPSILON itself goes, the next float up stays
+    above = np.nextafter(EPSILON, 1)
+    scores = np.array([-1.0, EPSILON - 0.1, np.nextafter(EPSILON, 0), EPSILON, above, 1.0])
     ms = MatchSet(
-        moving=np.zeros((3, 3), dtype=int),
-        fixed=np.zeros((3, 3), dtype=int),
-        scores=np.array([0.6, 0.7, 0.8]),
+        moving=np.arange(18).reshape(6, 3),
+        fixed=np.arange(18).reshape(6, 3) + 1,
+        scores=scores,
     )
-    assert len(filter_matches(ms, -1.0)) == 3
-    assert len(filter_matches(ms, 1.0)) == 0
-    kept = filter_matches(ms, 0.7)
-    assert kept.scores.tolist() == [0.8]
-
-
-def test_filter_matches_monotone_in_threshold():
-    rng = np.random.default_rng(11)
-    n = 40
-    ms = MatchSet(
-        moving=rng.integers(0, 4, size=(n, 3)),
-        fixed=rng.integers(0, 4, size=(n, 3)),
-        scores=rng.uniform(-1, 1, size=n),
-    )
-    for e1, e2 in [(-0.5, 0.0), (0.0, 0.4), (0.4, 0.9)]:
-        low = {tuple(r) for r in np.concatenate([filter_matches(ms, e1).moving, filter_matches(ms, e1).fixed], axis=1)}
-        high = {tuple(r) for r in np.concatenate([filter_matches(ms, e2).moving, filter_matches(ms, e2).fixed], axis=1)}
-        assert high <= low
+    kept = filter_matches(ms)
+    assert kept.scores.tolist() == [above, 1.0]
+    np.testing.assert_array_equal(kept.moving, ms.moving[4:])
+    np.testing.assert_array_equal(kept.fixed, ms.fixed[4:])
 
 
 def test_identity_maps_return_full_lattice_after_filter():
     feats = distinct_features((8, 8, 8), 16, seed=12)
-    ms = filter_matches(sscc(feats, feats, step=2, iterations=5), 0.7)
+    ms = filter_matches(sscc(feats, feats, step=2, iterations=5))
     expected = select_points((8, 8, 8), 2)
     np.testing.assert_array_equal(np.sort(ms.moving, axis=0), np.sort(expected, axis=0))
     np.testing.assert_array_equal(ms.moving, ms.fixed)
