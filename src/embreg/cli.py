@@ -172,15 +172,20 @@ def cmd_register(args) -> int:
 
 
 def _load_transform(directory: Path) -> CompositeTransform:
-    """The transform ``embreg register`` wrote to ``directory``; bad JSON is a data error."""
+    """The transform ``embreg register`` wrote to ``directory``.
+
+    Bad JSON and an entry besides ``affine`` and ``dense`` are data errors.
+    """
     try:
         manifest = json.loads((directory / "transform.json").read_text())
+        unknown = sorted(set(manifest) - {"affine", "dense"})
+        if unknown:
+            raise CorruptContainer(f"unknown manifest entries {unknown}")
         affine = AffineTransform.from_json((directory / manifest["affine"]).read_text())
-        coarse = read_vol1(directory / manifest["coarse"]).values if "coarse" in manifest else None
         dense = read_vol1(directory / manifest["dense"]).values if "dense" in manifest else None
     except (ValueError, KeyError, TypeError, CorruptContainer) as exc:
         raise CorruptContainer(f"{directory}: malformed transform: {exc!r}") from exc
-    return CompositeTransform(affine=affine, coarse=coarse, dense=dense)
+    return CompositeTransform(affine=affine, dense=dense)
 
 
 def cmd_eval(args) -> int:

@@ -43,7 +43,7 @@ def _as_field(field) -> np.ndarray:
 
 
 # Bytes of float64 ``(rows, C)`` values per row block in ``Stencil.vjp``,
-# :func:`trilinear_sample` and :func:`normalize_rows` (2048 rows at 16
+# :func:`trilinear_sample` and :func:`normalize_features` (2048 rows at 16
 # channels), so a block's temporaries stay in a per-core L2 cache instead of
 # streaming whole-grid arrays, and their size does not grow with the grid.
 _GATHER_BYTES = 256 << 10
@@ -53,27 +53,6 @@ def row_blocks(rows: int, channels: int) -> list[slice]:
     """Slices of at most ``_GATHER_BYTES`` of float64 ``(rows, channels)`` values."""
     step = max(1, _GATHER_BYTES // (8 * max(channels, 1)))
     return [slice(start, start + step) for start in range(0, rows, step)]
-
-
-def normalize_rows(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row of a float64 ``(n, C)`` array to unit norm, in place.
-
-    Rows whose norm is below ``MASK_NORM_EPS`` become masked zeros. Returns
-    ``(safe, masked)``: each row's norm as an ``(n, 1)`` column, 1 where it
-    is 0, and the ``(n,)`` masked rows. Works one :func:`row_blocks` block
-    at a time, with the same per-row arithmetic as ``np.linalg.norm``.
-    """
-    safe = np.empty((flat.shape[0], 1))
-    masked = np.empty(flat.shape[0], dtype=bool)
-    for block in row_blocks(*flat.shape):
-        rows = flat[block]
-        norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
-        masked[block] = norms[:, 0] < MASK_NORM_EPS
-        norms[norms == 0.0] = 1.0
-        rows /= norms
-        rows[masked[block]] = 0.0
-        safe[block] = norms
-    return safe, masked
 
 
 # Stencil.vjp dots fields of at most this many channels as per-channel
@@ -291,10 +270,23 @@ def warp_labels(labels, inverse_map) -> np.ndarray:
 
 
 def normalize_features(vectors) -> np.ndarray:
-    """Scale each per-voxel vector to unit norm; near-zero vectors become masked zeros."""
+    """Scale each per-voxel vector to unit norm; near-zero vectors become masked zeros.
+
+    A vector is masked when its norm is below ``MASK_NORM_EPS``. Works one
+    :func:`row_blocks` block at a time, with the per-row arithmetic of
+    ``np.linalg.norm``.
+    """
     out = np.array(vectors, dtype=np.float64)
-    if out.size:
-        normalize_rows(out.reshape(-1, out.shape[-1]))
+    if not out.size:
+        return out
+    flat = out.reshape(-1, out.shape[-1])
+    for block in row_blocks(*flat.shape):
+        rows = flat[block]
+        norms = np.sqrt(np.add.reduce(rows * rows, axis=-1, keepdims=True))
+        masked = norms[:, 0] < MASK_NORM_EPS
+        norms[norms == 0.0] = 1.0
+        rows /= norms
+        rows[masked] = 0.0
     return out
 
 

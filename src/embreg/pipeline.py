@@ -77,11 +77,11 @@ def run_pipeline(
     points_fixed)`` pair of index-matched ground-truth correspondences
     (image-grid voxel units) used for the landmark-error entry of the report.
 
-    Returns the composite transform (the affine and the coarse field as the
-    instance stage refined it), a report, and a dict of intermediate
-    artifacts: the matches, the coarse lattice, the affine and coarse map the
-    instance stage starts from, and the final map. To run part of the
-    pipeline, call the stage functions themselves.
+    Returns the composite transform (the affine and one dense field, the
+    coarse field as the instance stage refined it), a report, and a dict of
+    intermediate artifacts: the matches, the coarse lattice, the affine and
+    coarse map the instance stage starts from, and the final map. To run part
+    of the pipeline, call the stage functions themselves.
     """
     dims = fixed.dims
     timings: dict[str, float] = {}

@@ -25,29 +25,23 @@ class CompositeTransform:
 
     ``dense`` is a displacement field on the fixed grid (``(D, H, W, 3)``) or
     ``None`` for the identity, stored as C-contiguous float64 (copied only when
-    the input is not). ``coarse``, one more such field composed under ``dense``,
-    is ``None`` unless read from a transform written before the pipeline refined
-    the coarse field in the instance stage.
+    the input is not).
     """
 
     affine: AffineTransform
-    coarse: np.ndarray | None = None
     dense: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("coarse", "dense"):
-            f = getattr(self, name)
-            if f is None:
-                continue
-            arr = np.ascontiguousarray(check_vector_field(f, f"{name} field"))
+        if self.dense is not None:
+            arr = np.ascontiguousarray(check_vector_field(self.dense, "dense field"))
             if not np.all(np.isfinite(arr)):
-                raise ShapeMismatch(f"non-finite {name} displacement")
-            object.__setattr__(self, name, arr)
-        if self.coarse is not None and self.dense is not None:
-            if self.coarse.shape != self.dense.shape:
-                raise ShapeMismatch(
-                    f"stage grids differ: {self.coarse.shape} vs {self.dense.shape}"
-                )
+                raise ShapeMismatch("non-finite dense displacement")
+            object.__setattr__(self, "dense", arr)
+
+    @property
+    def coarse(self) -> None:
+        """Always ``None``; kept only because ``perfbench/bench.py`` still reads it."""
+        return None
 
 
 def _squarings(velocity):
@@ -105,19 +99,15 @@ def svf_backward(grad_displacement, tape) -> np.ndarray:
 def compose(transform: CompositeTransform, dims) -> np.ndarray:
     """Materialize the composite fixed-to-moving map on the fixed grid of shape ``dims``.
 
-    Per fixed voxel ``x``: ``y1 = x + dense(x)``, ``y2 = y1 +
-    trilinear(coarse, y1)``, output ``A^-1 y2``, shaped ``dims + (3,)``.
-    ``coarse`` is the upsampled field, not the lattice. A coarse or dense
-    field on another grid raises :class:`~embreg.errors.ShapeMismatch`.
+    Per fixed voxel ``x`` the output is ``A^-1 (x + dense(x))``, shaped
+    ``dims + (3,)``. A dense field on another grid raises
+    :class:`~embreg.errors.ShapeMismatch`.
     """
-    # The coarse and dense stages share one grid (checked at construction).
-    grid = next((f.shape[:3] for f in (transform.dense, transform.coarse) if f is not None), None)
-    if grid is not None and grid != tuple(dims):
-        raise ShapeMismatch(f"displacement field grid {grid} != {tuple(dims)}")
+    dense = transform.dense
+    if dense is not None and dense.shape[:3] != tuple(dims):
+        raise ShapeMismatch(f"displacement field grid {dense.shape[:3]} != {tuple(dims)}")
     pts = identity_grid(dims)
-    y = pts if transform.dense is None else pts + transform.dense
-    if transform.coarse is not None:
-        y = y + trilinear_sample(transform.coarse, y)
+    y = pts if dense is None else pts + dense
     return apply_affine(invert_affine(transform.affine), y)
 
 

@@ -174,43 +174,34 @@ def test_register_and_eval(synth_pair, tmp_path, capsys):
     assert evaluated["mean_landmark_error"] is not None
 
 
-def test_eval_reads_the_coarse_entry_of_the_earlier_layout(synth_pair, tmp_path, capsys):
+def test_eval_rejects_the_coarse_entry_of_the_earlier_layout(synth_pair, tmp_path, capsys):
     # Directories written before the instance stage refined the coarse field
-    # hold a coarse stage under the dense one. The same map laid out that way,
-    # the registered field as the coarse stage under a zero dense stage,
-    # evaluates to the same report.
-    new = tmp_path / "reg"
-    settings = ["--set", "match_step=2", "--set", "instance_iterations=5"]
-    assert main(["register", "--moving-dir", str(synth_pair / "moving"),
-                 "--fixed-dir", str(synth_pair / "fixed"), "--out", str(new), *settings]) == 0
+    # hold a coarse stage under the dense one. Ignoring it would evaluate
+    # another map, so it is a data error and nothing is written.
     old = tmp_path / "old"
     old.mkdir()
-    (old / "affine.json").write_bytes((new / "affine.json").read_bytes())
-    (old / "coarse_dense.vol1").write_bytes((new / "dense.vol1").read_bytes())
+    (old / "affine.json").write_text(AffineTransform.identity().to_json())
+    write_vol1(old / "coarse_dense.vol1", np.zeros((14, 14, 14, 3)))
     write_vol1(old / "dense.vol1", np.zeros((14, 14, 14, 3)))
     manifest = {"affine": "affine.json", "coarse": "coarse_dense.vol1", "dense": "dense.vol1"}
     (old / "transform.json").write_text(json.dumps(manifest))
-    reports = []
-    for directory in (new, old):
-        rc = main(
-            [
-                "eval",
-                "--transform",
-                str(directory),
-                "--moving-labels",
-                str(synth_pair / "moving/labels.vol1"),
-                "--fixed-labels",
-                str(synth_pair / "fixed/labels.vol1"),
-                "--gt-map",
-                str(synth_pair / "gt_map.vol1"),
-                "--out",
-                str(directory / "eval.json"),
-            ]
-        )
-        assert rc == 0
-        reports.append((directory / "eval.json").read_text())
-    assert reports[0] == reports[1]
-    assert json.loads(reports[0])["mean_landmark_error"] is not None
+    out = tmp_path / "eval.json"
+    rc = main(
+        [
+            "eval",
+            "--transform",
+            str(old),
+            "--moving-labels",
+            str(synth_pair / "moving/labels.vol1"),
+            "--fixed-labels",
+            str(synth_pair / "fixed/labels.vol1"),
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 3
+    assert "unknown manifest entries ['coarse']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_jacobian_command(tmp_path, capsys):
@@ -288,31 +279,6 @@ def test_instance_with_non_finite_lattice_exits_3(synth_pair, tmp_path, capsys):
     assert rc == 3
     assert "non-finite lattice" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_eval_of_coarse_only_transform_on_another_grid_exits_3(synth_pair, tmp_path, capsys):
-    from embreg.affine import AffineTransform
-
-    transform = tmp_path / "transform"
-    transform.mkdir()
-    (transform / "affine.json").write_text(AffineTransform.identity().to_json())
-    write_vol1(transform / "coarse_dense.vol1", np.zeros((20, 20, 20, 3)))
-    (transform / "transform.json").write_text(
-        json.dumps({"affine": "affine.json", "coarse": "coarse_dense.vol1"})
-    )
-    rc = main(
-        [
-            "eval",
-            "--transform",
-            str(transform),
-            "--moving-labels",
-            str(synth_pair / "moving/labels.vol1"),
-            "--fixed-labels",
-            str(synth_pair / "fixed/labels.vol1"),
-        ]
-    )
-    assert rc == 3
-    assert "field grid (20, 20, 20) != (14, 14, 14)" in capsys.readouterr().err
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -590,6 +556,10 @@ def test_instance_coarse_without_integer_stride_exits_3(synth_pair, tmp_path, at
         ("garbage", "[]"),
         ("{}", "[]"),
         ('["affine.json"]', "[]"),
+        pytest.param('{"affine": "affine.json", "coarse": "coarse_dense.vol1"}',
+                     AffineTransform.identity().to_json(), id="coarse-entry"),
+        pytest.param('{"affine": "affine.json", "inverse": "inverse.vol1"}',
+                     AffineTransform.identity().to_json(), id="unknown-entry"),
     ],
 )
 def test_eval_malformed_transform_exits_3(tmp_path, manifest, affine, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,61 +132,50 @@ def test_compose_affine_only_is_inverse_affine_of_grid():
 
 def test_compose_identity_stages_is_identity_grid():
     dims = (4, 4, 4)
-    t = CompositeTransform(
-        affine=AffineTransform.identity(),
-        coarse=np.zeros(dims + (3,)),
-        dense=np.zeros(dims + (3,)),
-    )
+    t = CompositeTransform(affine=AffineTransform.identity(), dense=np.zeros(dims + (3,)))
     np.testing.assert_allclose(compose(t, dims), identity_grid(dims), atol=1e-15)
 
 
 def test_compose_constant_stages_add_before_inverse_affine():
     dims = (6, 6, 6)
-    coarse = np.zeros(dims + (3,))
-    coarse[..., 0] = 1.0
     dense = np.zeros(dims + (3,))
+    dense[..., 0] = 1.0
     dense[..., 2] = 0.5
     affine = AffineTransform.from_linear_translation(np.eye(3) * 2.0, [0.0, 0.0, 0.0])
-    t = CompositeTransform(affine=affine, coarse=coarse, dense=dense)
-    out = compose(t, dims)
-    # constant fields: y2 = x + (0.5 in x) + (1 in z) sampled clamped; interior exact
+    out = compose(CompositeTransform(affine=affine, dense=dense), dims)
     want = (identity_grid(dims) + [1.0, 0.0, 0.5]) / 2.0
-    np.testing.assert_allclose(out[1:-1, 1:-1, 1:-1], want[1:-1, 1:-1, 1:-1], atol=1e-12)
+    np.testing.assert_allclose(out, want, atol=1e-12)
 
 
-def test_compose_is_the_inverse_affine_of_coarse_sampled_after_dense():
+def test_compose_is_the_inverse_affine_of_the_dense_map():
     rng = np.random.default_rng(9)
     dims = (5, 6, 7)
-    coarse = rng.normal(scale=1.5, size=dims + (3,))
     dense = rng.normal(scale=1.5, size=dims + (3,))
     affine = AffineTransform.from_linear_translation(
         np.eye(3) + rng.uniform(-0.2, 0.2, (3, 3)), rng.uniform(-2, 2, 3)
     )
-    out = compose(CompositeTransform(affine=affine, coarse=coarse, dense=dense), dims)
-    y = identity_grid(dims) + dense
-    want = apply_affine(invert_affine(affine), y + trilinear_sample(coarse, y))
+    out = compose(CompositeTransform(affine=affine, dense=dense), dims)
+    want = apply_affine(invert_affine(affine), identity_grid(dims) + dense)
     assert out.tobytes() == want.tobytes()
 
 
-def test_composite_rejects_mismatched_stage_grids():
-    with pytest.raises(ShapeMismatch):
-        CompositeTransform(
-            affine=AffineTransform.identity(),
-            coarse=np.zeros((4, 4, 4, 3)),
-            dense=np.zeros((5, 5, 5, 3)),
-        )
+def test_composite_is_the_affine_and_one_dense_field():
+    assert [f.name for f in dataclasses.fields(CompositeTransform)] == ["affine", "dense"]
+    assert CompositeTransform(affine=AffineTransform.identity()).coarse is None
+    with pytest.raises(TypeError):
+        CompositeTransform(affine=AffineTransform.identity(), coarse=np.zeros((4, 4, 4, 3)))
 
 
 def test_composite_keeps_contiguous_fields_and_copies_strided_ones():
     rng = np.random.default_rng(5)
     field = rng.normal(size=(4, 5, 6, 3))
-    kept = CompositeTransform(affine=AffineTransform.identity(), coarse=field, dense=field)
-    assert kept.coarse is field and kept.dense is field
+    kept = CompositeTransform(affine=AffineTransform.identity(), dense=field)
+    assert kept.dense is field
 
     fortran = np.asfortranarray(field)
     channel_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(field, -1, 0)), 0, -1)
-    copied = CompositeTransform(affine=AffineTransform.identity(), coarse=fortran, dense=channel_major)
-    for stored, given_view in ((copied.coarse, fortran), (copied.dense, channel_major)):
+    for given_view in (fortran, channel_major):
+        stored = CompositeTransform(affine=AffineTransform.identity(), dense=given_view).dense
         assert stored.flags.c_contiguous
         assert not np.shares_memory(stored, given_view)
         np.testing.assert_array_equal(stored, field)
@@ -192,12 +183,6 @@ def test_composite_keeps_contiguous_fields_and_copies_strided_ones():
 
 def test_compose_rejects_dense_field_on_another_grid():
     t = CompositeTransform(affine=AffineTransform.identity(), dense=np.zeros((4, 4, 4, 3)))
-    with pytest.raises(ShapeMismatch):
-        compose(t, (5, 4, 4))
-
-
-def test_compose_rejects_coarse_field_on_another_grid():
-    t = CompositeTransform(affine=AffineTransform.identity(), coarse=np.zeros((4, 4, 4, 3)))
     with pytest.raises(ShapeMismatch, match="field grid"):
         compose(t, (5, 4, 4))
 
