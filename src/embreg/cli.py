@@ -229,10 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic registration pair")
     p.add_argument("--out", required=True)
     for f in fields(SynthSpec):
-        name = "labels" if f.name == "label_count" else f.name
         kind = _parse_dims if f.name == "dims" else type(f.default)
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, dest=f.name, metavar=name.upper(), type=kind, default=f.default)
+        p.add_argument("--" + f.name.replace("_", "-"), metavar=f.name.upper(), type=kind, default=f.default)
     p.add_argument("--translation", type=float, default=1.5)
     p.set_defaults(func=cmd_synth)
 

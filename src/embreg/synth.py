@@ -70,43 +70,44 @@ def triangular_smooth(arr: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
-@dataclass
+FEATURE_SMOOTHNESS = 2  # voxel radius that smooths the atlas's feature channels and intensity noise
+LABEL_COUNT = 3  # nested label shells in the atlas, labels 1..LABEL_COUNT
+
+
+@dataclass(frozen=True)
 class SynthSpec:
+    """Grid, feature channels, warp and seed of a synthetic pair; the rest of the atlas is fixed."""
+
     dims: tuple[int, int, int] = (24, 24, 24)
     channels: int = 16
-    feature_smoothness: float = 2.0
     warp_amplitude: float = 2.0
     warp_smoothness: float = 4.0
-    label_count: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.feature_smoothness, self.warp_smoothness, self.warp_amplitude))):
-            raise ShapeMismatch("smoothness and warp amplitude must be finite")
-        if self.feature_smoothness <= 0 or self.warp_smoothness <= 0:
-            raise ShapeMismatch("smoothness parameters must be > 0")
+        if not all(map(math.isfinite, (self.warp_smoothness, self.warp_amplitude))):
+            raise ShapeMismatch("warp smoothness and amplitude must be finite")
+        if self.warp_smoothness <= 0:
+            raise ShapeMismatch("warp smoothness must be > 0")
         if self.warp_amplitude < 0:
             raise ShapeMismatch("warp amplitude must be >= 0")
         if self.channels < 4:
             raise ShapeMismatch("need at least 4 feature channels")
-        if not 1 <= self.label_count <= 65535:
-            raise ShapeMismatch(f"need 1 to 65535 labels (stored as u16), got {self.label_count}")
         # A smoothing pass costs time and memory in proportion to its radius.
-        if math.ceil(max(self.feature_smoothness, self.warp_smoothness)) > max(self.dims):
+        if math.ceil(max(FEATURE_SMOOTHNESS, self.warp_smoothness)) > max(self.dims):
             raise ShapeMismatch(f"smoothness radius must not exceed the longest axis of {self.dims}")
 
 
 def make_atlas(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Features, labels, and intensity volumes, all seeded from the spec.
 
-    Features are smoothed per-channel noise, unit-normalized per voxel.
-    Labels are nested concentric ellipsoids; intensity is smoothed noise
-    plus a per-label offset.
+    Features are per-channel noise smoothed with radius :data:`FEATURE_SMOOTHNESS`,
+    unit-normalized per voxel. Labels are :data:`LABEL_COUNT` nested concentric
+    ellipsoids; intensity is smoothed noise plus a per-label offset.
     """
     dims = spec.dims
-    radius = int(math.ceil(spec.feature_smoothness))
     channels = [
-        triangular_smooth(noise(spec.seed, 100 + c, dims), radius)
+        triangular_smooth(noise(spec.seed, 100 + c, dims), FEATURE_SMOOTHNESS)
         for c in range(spec.channels)
     ]
     features = normalize_features(np.stack(channels, axis=-1))
@@ -124,10 +125,10 @@ def make_atlas(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels = np.where(
         rho >= 1.0,
         0,
-        np.minimum(spec.label_count, np.floor((1.0 - rho) * spec.label_count).astype(np.int64) + 1),
+        np.minimum(LABEL_COUNT, np.floor((1.0 - rho) * LABEL_COUNT).astype(np.int64) + 1),
     ).astype(np.int64)
 
-    intensity = 0.3 * triangular_smooth(noise(spec.seed, 2000, dims), radius)
+    intensity = 0.3 * triangular_smooth(noise(spec.seed, 2000, dims), FEATURE_SMOOTHNESS)
     intensity = intensity + labels.astype(np.float64)
     return features, labels, intensity
 

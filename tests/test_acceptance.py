@@ -144,7 +144,7 @@ def test_criterion_2_affine_recovery(capfd):
 def test_criterion_3_sscc_fixed_point(capfd):
     def body():
         start = time.perf_counter()
-        spec = SynthSpec(dims=(24, 24, 24), channels=16, feature_smoothness=2.0, seed=7)
+        spec = SynthSpec(dims=(24, 24, 24), channels=16, seed=7)
         features, _, _ = make_atlas(spec)
         matches = filter_matches(sscc(features, features, step=4, iterations=5))
         assert len(matches) > 0

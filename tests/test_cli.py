@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import struct
 
@@ -491,7 +492,7 @@ def test_coarse_command_matches_pipeline_coarse_stage(synth_pair, tmp_path):
 
 @pytest.mark.parametrize(
     "option",
-    ["--feature-smoothness=inf", "--feature-smoothness=nan", "--warp-smoothness=inf", "--warp-amplitude=nan"],
+    ["--warp-smoothness=inf", "--warp-amplitude=nan"],
 )
 def test_synth_non_finite_spec_exits_3(tmp_path, option, capsys):
     rc = main(["synth", "--out", str(tmp_path / "pair"), option])
@@ -500,18 +501,30 @@ def test_synth_non_finite_spec_exits_3(tmp_path, option, capsys):
     assert not (tmp_path / "pair").exists()
 
 
-@pytest.mark.parametrize(
-    "option, message",
-    [
-        ("--feature-smoothness=100", "smoothness radius"),
-        ("--warp-smoothness=24.5", "smoothness radius"),
-        ("--labels=70000", "65535 labels"),
-    ],
-)
+@pytest.mark.parametrize("option, message", [("--warp-smoothness=24.5", "smoothness radius")])
 def test_synth_spec_that_cannot_make_a_pair_exits_3_and_writes_nothing(tmp_path, option, message, capsys):
     rc = main(["synth", "--out", str(tmp_path / "pair"), option])
     assert rc == 3
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "pair").exists()
+
+
+def test_synth_flags_are_the_spec_fields(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "--help"])
+    assert excinfo.value.code == 0
+    flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.MULTILINE)
+    assert flags == [
+        "--out", "--dims", "--channels", "--warp-amplitude", "--warp-smoothness", "--seed", "--translation",
+    ]
+
+
+@pytest.mark.parametrize("option", [["--labels", "3"], ["--feature-smoothness", "2"]], ids="=".join)
+def test_synth_removed_atlas_flags_are_usage_errors(tmp_path, option):
+    # The atlas's label count and smoothing radius are embreg.synth constants.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", "--out", str(tmp_path / "pair"), *option])
+    assert excinfo.value.code == 2
     assert not (tmp_path / "pair").exists()
 
 

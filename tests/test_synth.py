@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from embreg.affine import AffineTransform, apply_affine
 from embreg.errors import ShapeMismatch
 from embreg.grid import trilinear_sample
 from embreg.synth import (
+    LABEL_COUNT,
     SynthSpec,
     make_atlas,
     make_pair,
@@ -52,7 +55,7 @@ def test_triangular_smooth_radius_zero_is_identity():
 
 
 def test_make_atlas_shapes_and_invariants():
-    spec = SynthSpec(dims=(10, 12, 14), channels=6, label_count=3, seed=1)
+    spec = SynthSpec(dims=(10, 12, 14), channels=6, seed=1)
     features, labels, intensity = make_atlas(spec)
     assert features.shape == (10, 12, 14, 6)
     assert labels.shape == (10, 12, 14)
@@ -61,8 +64,8 @@ def test_make_atlas_shapes_and_invariants():
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
     present = np.unique(labels)
     assert present[0] == 0
-    assert set(present) <= set(range(spec.label_count + 1))
-    assert labels.max() == spec.label_count  # innermost shell exists
+    assert set(present) <= set(range(LABEL_COUNT + 1))
+    assert labels.max() == LABEL_COUNT  # innermost shell exists
     # labels are nested: higher labels sit strictly inside the support
     assert np.count_nonzero(labels >= 2) < np.count_nonzero(labels >= 1)
 
@@ -140,16 +143,24 @@ def test_make_pair_rejects_mismatched_velocity_grid():
 
 def test_spec_validation():
     with pytest.raises(ShapeMismatch):
-        SynthSpec(feature_smoothness=0.0)
+        SynthSpec(warp_smoothness=0.0)
     with pytest.raises(ShapeMismatch):
         SynthSpec(warp_amplitude=-1.0)
     with pytest.raises(ShapeMismatch):
         SynthSpec(channels=2)
-    with pytest.raises(ShapeMismatch):
-        SynthSpec(label_count=0)
 
 
-@pytest.mark.parametrize("field", ["feature_smoothness", "warp_smoothness", "warp_amplitude"])
+def test_spec_is_frozen_so_assignment_cannot_skip_the_checks():
+    assert [f.name for f in dataclasses.fields(SynthSpec)] == [
+        "dims", "channels", "warp_amplitude", "warp_smoothness", "seed",
+    ]
+    spec = SynthSpec(dims=(8, 8, 8))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.warp_smoothness = 100.0
+    assert spec.warp_smoothness == 4.0
+
+
+@pytest.mark.parametrize("field", ["warp_smoothness", "warp_amplitude"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_spec_rejects_non_finite_values(field, value):
     with pytest.raises(ShapeMismatch, match="finite"):
